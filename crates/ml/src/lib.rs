@@ -5,7 +5,7 @@
 //! Everything is implemented from scratch:
 //!
 //! * [`svr`] — ε-support-vector regression trained by SMO with
-//!   second-order working-set selection and an LRU kernel-row cache
+//!   second-order working-set selection over a bounded kernel-row cache
 //!   (the paper's model class: linear kernel for speedup, RBF with
 //!   `γ = 0.1` for normalized energy, both at `C = 1000`, `ε = 0.1`);
 //! * [`linear`] — OLS / ridge via pivoted Gaussian elimination,

@@ -3,7 +3,10 @@
 //! Implements the standard libsvm formulation: the ε-SVR dual is an
 //! SVM-shaped problem over `2n` variables `(α, α*)` with labels
 //! `y ∈ {+1, −1}`, solved by sequential minimal optimization with
-//! second-order working-set selection and an LRU kernel-row cache.
+//! second-order working-set selection (libsvm's WSS3; Fan, Chen & Lin,
+//! JMLR 2005) over a bounded kernel-row cache. The solver's
+//! per-iteration passes are vectorized and fused, yet return exactly
+//! the bits of the plain sequential scan — see `Solver`.
 //! The paper's hyper-parameters are `C = 1000`, `ε = 0.1` for both
 //! models, a linear kernel for speedup and an RBF kernel with
 //! `γ = 0.1` for normalized energy (§3.4).
@@ -11,7 +14,9 @@
 use crate::dataset::Dataset;
 use crate::kernel_fn::SvmKernel;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+
+#[cfg(test)]
+mod reference;
 
 const TAU: f64 = 1e-12;
 
@@ -29,7 +34,7 @@ pub struct SvrParams {
     /// Hard iteration cap (0 = libsvm-style heuristic of
     /// `max(10^7, 100·n)`).
     pub max_iter: usize,
-    /// Number of kernel rows kept in the LRU cache.
+    /// Most kernel rows the solver keeps cached at once.
     pub cache_rows: usize,
 }
 
@@ -607,15 +612,54 @@ impl ScoringPlan {
 }
 
 /// SMO solver state over the extended `2n`-variable problem.
+///
+/// **Layout.** The extended variables split into two blocks of `n`:
+/// the α block (`s < n`, label `y_s = +1`) and the α* block
+/// (`s = n + t`, `y_s = −1`), both reading base-kernel row entry `t`.
+/// Every per-variable pass walks the blocks side by side — step `t`
+/// handles variable `t` of each with that block's own arithmetic — so
+/// no element branches on its label or takes a modulo. A label only
+/// ever multiplies by `±1` or enters `2·y_i·y_s`, both exact, so
+/// specializing the arithmetic per block changes no value's bits.
+///
+/// **Fused selection.** libsvm's WSS3 picks `i` by a first-order argmax
+/// over `I_up`, then `j` by a second-order argmin over `I_low`. Only the
+/// `j` pass needs `i`; the `i` pass needs only `α` and the gradient,
+/// which are final once the gradient update has run. So the update
+/// loop ([`scan_up`]) offers each freshly written gradient entry to the
+/// next iteration's `i` selection, and an iteration makes two passes
+/// over the variables where WSS3 as written makes three. If an
+/// iteration leaves `α` and the gradient numerically unchanged, the
+/// previous `i` stands.
+///
+/// **Bit-identity contract.** Training returns exactly the model a
+/// plain sequential scan of WSS3 returns — support vectors, `β`, bias
+/// and iteration count, bit for bit — which property tests check
+/// against such a solver, kept as test-only reference code in
+/// `svr/reference.rs`. Every gradient entry, quadratic coefficient and
+/// objective decrease is the same IEEE-754 operation chain on the same
+/// operands. The selections are argmax scans that keep the last index
+/// on ties (`>=`); they run in [`SCAN_LANES`] interleaved lanes, each
+/// of which still sees its indices in increasing order, and
+/// [`ArgMaxLanes::finish`] keeps the largest value and, on a tie, the
+/// latest index — where the sequential scan would have ended. Which
+/// rows the [`RowCache`] holds never changes a number.
+///
+/// **Where the speed comes from.** Candidates outside `I_up`/`I_low`
+/// are offered as `NaN`, which an argmax never takes, so the selection
+/// and update loops are branch-free lane selects that the compiler
+/// vectorizes (runtime-dispatched to AVX-512F or AVX2 like
+/// [`ScoringPlan`]'s sweep). The second-order pass divides a whole
+/// chunk of candidates in one vector instruction, and skips chunks
+/// holding none. A cached row costs an index into a slot table, not a
+/// hash lookup.
 struct Solver<'a> {
     data: &'a Dataset,
     params: &'a SvrParams,
     n: usize,
-    /// Extended labels: `+1` for the α block, `−1` for the α* block.
-    y: Vec<f64>,
-    /// Extended variables `(α, α*)`.
+    /// Extended variables: the α block `alpha[..n]`, then the α* block.
     alpha: Vec<f64>,
-    /// Gradient of the dual objective.
+    /// Gradient of the dual objective, in the same two blocks.
     grad: Vec<f64>,
     /// Diagonal of the base kernel matrix.
     qd: Vec<f64>,
@@ -625,8 +669,6 @@ struct Solver<'a> {
 impl<'a> Solver<'a> {
     fn new(data: &'a Dataset, params: &'a SvrParams) -> Solver<'a> {
         let n = data.len();
-        let mut y = vec![1.0; 2 * n];
-        y[n..].fill(-1.0);
         // p_s = ε − y_s for the α block, ε + y_s for the α* block;
         // gradient starts at p because α = 0.
         let mut grad = vec![0.0; 2 * n];
@@ -645,99 +687,79 @@ impl<'a> Solver<'a> {
             data,
             params,
             n,
-            y,
             alpha: vec![0.0; 2 * n],
             grad,
             qd,
-            cache: RowCache::new(params.cache_rows),
+            cache: RowCache::new(n, params.cache_rows),
         }
     }
 
-    /// Base-kernel row for extended index `s` (row of `K(x_{s mod n}, ·)`).
-    fn row(&mut self, s: usize) -> std::rc::Rc<Vec<f64>> {
-        let i = s % self.n;
-        let kernel = self.params.kernel;
-        let xs = self.data.xs();
-        self.cache.get(i, || {
-            (0..xs.len()).map(|j| kernel.eval(&xs[i], &xs[j])).collect()
-        })
-    }
-
-    fn in_up(&self, s: usize) -> bool {
-        (self.y[s] > 0.0 && self.alpha[s] < self.params.c)
-            || (self.y[s] < 0.0 && self.alpha[s] > 0.0)
-    }
-
-    fn in_low(&self, s: usize) -> bool {
-        (self.y[s] > 0.0 && self.alpha[s] > 0.0)
-            || (self.y[s] < 0.0 && self.alpha[s] < self.params.c)
-    }
-
-    /// Second-order working-set selection (libsvm WSS3). Returns
-    /// `None` when the KKT gap is below tolerance.
-    fn select_working_set(&mut self) -> Option<(usize, usize)> {
-        let two_n = 2 * self.n;
-        let mut g_max = f64::NEG_INFINITY;
-        let mut i = usize::MAX;
-        for s in 0..two_n {
-            if self.in_up(s) {
-                let v = -self.y[s] * self.grad[s];
-                if v >= g_max {
-                    g_max = v;
-                    i = s;
-                }
-            }
+    /// Extended label `y_s`: `+1` in the α block, `−1` in the α* block.
+    fn y(&self, s: usize) -> f64 {
+        if s < self.n {
+            1.0
+        } else {
+            -1.0
         }
-        if i == usize::MAX {
-            return None;
-        }
-        let row_i = self.row(i);
-        let i_base = i % self.n;
-        let y_i = self.y[i];
-        let qd_i = self.qd[i_base];
-        let mut g_max2 = f64::NEG_INFINITY;
-        let mut j = usize::MAX;
-        let mut obj_min = f64::INFINITY;
-        // Split the extended space into the α block (y_s = +1, s < n)
-        // and the α* block (y_s = −1) so the inner loop needs no modulo.
-        for s in 0..two_n {
-            let (s_base, y_s) = if s < self.n {
-                (s, 1.0)
-            } else {
-                (s - self.n, -1.0)
-            };
-            let in_low = if y_s > 0.0 {
-                self.alpha[s] > 0.0
-            } else {
-                self.alpha[s] < self.params.c
-            };
-            debug_assert_eq!(in_low, self.in_low(s));
-            if !in_low {
-                continue;
-            }
-            let yg = y_s * self.grad[s];
-            g_max2 = g_max2.max(yg);
-            let grad_diff = g_max + yg;
-            if grad_diff > 0.0 {
-                // Q_i[s] = y_i y_s K(i, s); quad coefficient of the
-                // two-variable subproblem.
-                let quad = qd_i + self.qd[s_base] - 2.0 * y_i * y_s * row_i[s_base];
-                let quad = if quad > 0.0 { quad } else { TAU };
-                let obj = -(grad_diff * grad_diff) / quad;
-                if obj <= obj_min {
-                    obj_min = obj;
-                    j = s;
-                }
-            }
-        }
-        if g_max + g_max2 < self.params.tol || j == usize::MAX {
-            return None;
-        }
-        Some((i, j))
     }
 
     /// Run SMO to convergence; returns the iteration count.
     fn solve(&mut self) -> usize {
+        // Per-lane IEEE-754 compare/select/divide round identically at
+        // every register width (and Rust never contracts to FMA), so the
+        // SIMD tier changes throughput, not bits. Miri does not
+        // implement vendor SIMD intrinsics; under it the generic body is
+        // the whole story.
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                // SAFETY: reached only when the CPU reports AVX-512F.
+                return unsafe { self.solve_avx512() };
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: reached only when the CPU reports AVX2.
+                return unsafe { self.solve_avx2() };
+            }
+        }
+        self.solve_body()
+    }
+
+    /// [`solve_body`](Self::solve_body) compiled for AVX2.
+    ///
+    /// The body is safe code; `unsafe` is forced by `target_feature`
+    /// alone.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    // SAFETY: callers must have verified AVX2 support (the dispatch in
+    // `solve` checks `is_x86_feature_detected!`), or executing the
+    // AVX2-encoded body is UB on older CPUs.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "avx2")]
+    unsafe fn solve_avx2(&mut self) -> usize {
+        self.solve_body()
+    }
+
+    /// [`solve_body`](Self::solve_body) compiled for AVX-512F.
+    ///
+    /// The body is safe code; `unsafe` is forced by `target_feature`
+    /// alone.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    // SAFETY: callers must have verified AVX-512F support (the dispatch
+    // in `solve` checks `is_x86_feature_detected!`), or executing the
+    // AVX-512-encoded body is UB on older CPUs.
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn solve_avx512(&mut self) -> usize {
+        self.solve_body()
+    }
+
+    /// The SMO loop. Marked `inline(always)` so the `target_feature`
+    /// wrappers re-vectorize its lane loops at their ISA width.
+    #[inline(always)]
+    fn solve_body(&mut self) -> usize {
         let max_iter = if self.params.max_iter == 0 {
             // libsvm heuristic: at least 10M, or 100 iterations per
             // variable for very large problems.
@@ -745,20 +767,27 @@ impl<'a> Solver<'a> {
         } else {
             self.params.max_iter
         };
+        let n = self.n;
         let c = self.params.c;
+        let kernel = self.params.kernel;
+        let xs = self.data.xs();
+        let mut up = scan_up::<false>(&mut self.grad, &self.alpha, c, &self.qd, &self.qd, 0.0, 0.0);
         let mut it = 0;
         while it < max_iter {
-            let Some((i, j)) = self.select_working_set() else {
+            let Some((g_max, i)) = up else {
+                break;
+            };
+            let i_base = i % n;
+            let slot_i = self.cache.fetch(i_base, usize::MAX, xs, kernel);
+            let Some(j) = self.select_j(g_max, i, self.cache.row(slot_i)) else {
                 break;
             };
             it += 1;
-            let i_base = i % self.n;
-            let j_base = j % self.n;
-            let row_i = self.row(i);
-            let row_j = self.row(j);
-            let k_ij = row_i[j_base];
+            let j_base = j % n;
+            let slot_j = self.cache.fetch(j_base, i_base, xs, kernel);
+            let k_ij = self.cache.row(slot_i)[j_base];
             let (old_ai, old_aj) = (self.alpha[i], self.alpha[j]);
-            if self.y[i] != self.y[j] {
+            if self.y(i) != self.y(j) {
                 let quad = (self.qd[i_base] + self.qd[j_base] + 2.0 * k_ij).max(TAU);
                 let delta = (-self.grad[i] - self.grad[j]) / quad;
                 let diff = self.alpha[i] - self.alpha[j];
@@ -808,24 +837,119 @@ impl<'a> Solver<'a> {
                 }
             }
             // Gradient maintenance: G_t += Q_it Δα_i + Q_jt Δα_j, with
-            // Q_st = y_s y_t K(s, t). The extended space splits into the
-            // α block (y_t = +1) and the α* block (y_t = −1); writing
-            // the two halves as separate tight loops avoids the
-            // per-element modulo and lets the compiler vectorize.
+            // Q_st = y_s y_t K(s, t), fused with the next iteration's
+            // first-order `i` selection. If neither α moved (up to the
+            // sign of a zero, which no predicate sees), the gradient is
+            // unchanged and so is that selection.
             let d_i = self.alpha[i] - old_ai;
             let d_j = self.alpha[j] - old_aj;
             if d_i != 0.0 || d_j != 0.0 {
-                let ci = self.y[i] * d_i;
-                let cj = self.y[j] * d_j;
-                let (lo, hi) = self.grad.split_at_mut(self.n);
-                for t in 0..self.n {
-                    let delta = row_i[t] * ci + row_j[t] * cj;
-                    lo[t] += delta;
-                    hi[t] -= delta;
-                }
+                let ci = self.y(i) * d_i;
+                let cj = self.y(j) * d_j;
+                let (row_i, row_j) = (self.cache.row(slot_i), self.cache.row(slot_j));
+                up = scan_up::<true>(&mut self.grad, &self.alpha, c, row_i, row_j, ci, cj);
             }
         }
         it
+    }
+
+    /// The second-order half of WSS3: over `I_low`, the `j` maximizing
+    /// the objective decrease `(G_max + y_s G_s)² / quad` (libsvm's
+    /// minimum of its negation), last index on ties. Returns `None`
+    /// when the KKT gap `G_max + max_{I_low} y_s G_s` is below
+    /// tolerance or no candidate decreases the objective.
+    #[inline(always)]
+    fn select_j(&self, g_max: f64, i: usize, row_i: &[f64]) -> Option<usize> {
+        let n = self.n;
+        let c = self.params.c;
+        let y_i = self.y(i);
+        let qd_i = self.qd[i % n];
+        // 2·y_i·y_s per block: the coefficient of K(i, s) in the
+        // two-variable subproblem's quadratic term. With y_s = ±1 the
+        // products are exact, as the sequential scan computed them.
+        let (coef, coef_star) = (2.0 * y_i, -(2.0 * y_i));
+        let (a, a_star) = self.alpha.split_at(n);
+        let (g, g_star) = self.grad.split_at(n);
+        let (qd, row_i) = (&self.qd[..n], &row_i[..n]);
+        // `(objective decrease numerator, quad, y_s G_s)` of one
+        // variable, the numerator and `y_s G_s` NaN outside their
+        // candidate sets so that neither the argmax nor the max takes
+        // them.
+        let variable = |in_low: bool, yg: f64, qd_t: f64, k_it: f64, coef: f64| {
+            let grad_diff = g_max + yg;
+            let quad = qd_i + qd_t - coef * k_it;
+            let quad = if quad > 0.0 { quad } else { TAU };
+            let num = if in_low & (grad_diff > 0.0) {
+                grad_diff * grad_diff
+            } else {
+                f64::NAN
+            };
+            (num, quad, if in_low { yg } else { f64::NAN })
+        };
+        // `f64::max` would also skip the NaNs, but its signed-zero
+        // handling does not vectorize; which of two equal zeros is kept
+        // is invisible to the tolerance test `g_max2` feeds.
+        let fold_max = |m: f64, v: f64| if v > m { v } else { m };
+        let mut best = ArgMaxLanes::EMPTY;
+        let mut best_star = ArgMaxLanes::EMPTY;
+        let mut g_max2 = [f64::NEG_INFINITY; SCAN_LANES];
+        // Divide a chunk only if some lane is a candidate: a NaN
+        // numerator's quotient would never be taken, and at the served
+        // shapes most α-block chunks (and, at n = 720, most α*-block
+        // chunks) hold no candidate. The division is unconditional
+        // within a chunk, which keeps it in vector registers.
+        let offer =
+            |best: &mut ArgMaxLanes, num: &[f64; SCAN_LANES], quad: &[f64; SCAN_LANES], s| {
+                if num.iter().any(|v| !v.is_nan()) {
+                    let mut gain = [0.0; SCAN_LANES];
+                    for k in 0..SCAN_LANES {
+                        gain[k] = num[k] / quad[k];
+                    }
+                    best.offer_chunk(&gain, s);
+                }
+            };
+        let chunks = (a
+            .chunks_exact(SCAN_LANES)
+            .zip(a_star.chunks_exact(SCAN_LANES)))
+        .zip(
+            g.chunks_exact(SCAN_LANES)
+                .zip(g_star.chunks_exact(SCAN_LANES)),
+        )
+        .zip(
+            qd.chunks_exact(SCAN_LANES)
+                .zip(row_i.chunks_exact(SCAN_LANES)),
+        );
+        for (t, (((a, a_star), (g, g_star)), (qd, k_i))) in (0..).step_by(SCAN_LANES).zip(chunks) {
+            let (a, a_star, g, g_star) = (lanes(a), lanes(a_star), lanes(g), lanes(g_star));
+            let (qd, k_i) = (lanes(qd), lanes(k_i));
+            let (mut num, mut quad) = ([0.0; SCAN_LANES], [0.0; SCAN_LANES]);
+            let (mut num_star, mut quad_star) = ([0.0; SCAN_LANES], [0.0; SCAN_LANES]);
+            for k in 0..SCAN_LANES {
+                let (yg, yg_star);
+                (num[k], quad[k], yg) = variable(a[k] > 0.0, g[k], qd[k], k_i[k], coef);
+                (num_star[k], quad_star[k], yg_star) =
+                    variable(a_star[k] < c, -g_star[k], qd[k], k_i[k], coef_star);
+                g_max2[k] = fold_max(fold_max(g_max2[k], yg), yg_star);
+            }
+            offer(&mut best, &num, &quad, t);
+            offer(&mut best_star, &num_star, &quad_star, n + t);
+        }
+        let full = n - n % SCAN_LANES;
+        for t in full..n {
+            let (num, quad, yg) = variable(a[t] > 0.0, g[t], qd[t], row_i[t], coef);
+            let (num_star, quad_star, yg_star) =
+                variable(a_star[t] < c, -g_star[t], qd[t], row_i[t], coef_star);
+            g_max2[t - full] = fold_max(fold_max(g_max2[t - full], yg), yg_star);
+            best.offer(t - full, num / quad, t);
+            best_star.offer(t - full, num_star / quad_star, n + t);
+        }
+        let g_max2 = g_max2.into_iter().fold(f64::NEG_INFINITY, fold_max);
+        // Every α* index follows every α index.
+        let (_, j) = later_max(best.finish(), best_star.finish())?;
+        if g_max + g_max2 < self.params.tol {
+            return None;
+        }
+        Some(j)
     }
 
     /// Bias from the KKT conditions (libsvm `calculate_rho`, negated).
@@ -836,15 +960,16 @@ impl<'a> Solver<'a> {
         let mut sum_free = 0.0;
         let mut nr_free = 0usize;
         for s in 0..2 * self.n {
-            let yg = self.y[s] * self.grad[s];
+            let y_s = self.y(s);
+            let yg = y_s * self.grad[s];
             if self.alpha[s] >= c {
-                if self.y[s] < 0.0 {
+                if y_s < 0.0 {
                     ub = ub.min(yg);
                 } else {
                     lb = lb.max(yg);
                 }
             } else if self.alpha[s] <= 0.0 {
-                if self.y[s] > 0.0 {
+                if y_s > 0.0 {
                     ub = ub.min(yg);
                 } else {
                     lb = lb.max(yg);
@@ -863,37 +988,213 @@ impl<'a> Solver<'a> {
     }
 }
 
-/// LRU cache of base-kernel rows.
+/// Interleaved lanes per selection pass: one AVX-512 register of `f64`
+/// (two AVX2 registers). Lane `k` scans the indices `≡ k` modulo the
+/// lane count within each block, in increasing order.
+const SCAN_LANES: usize = 8;
+
+/// A last-index-wins argmax (`if v >= best { best = v; at = s }`) run
+/// as [`SCAN_LANES`] independent lanes. An offered `NaN` never wins, so
+/// a variable outside the candidate set is offered as `NaN` instead of
+/// branching around it — exactly as a sequential scan never takes a
+/// `NaN`.
+#[derive(Clone, Copy)]
+struct ArgMaxLanes {
+    val: [f64; SCAN_LANES],
+    /// `usize::MAX` until the lane takes a value.
+    at: [usize; SCAN_LANES],
+}
+
+impl ArgMaxLanes {
+    const EMPTY: ArgMaxLanes = ArgMaxLanes {
+        val: [f64::NEG_INFINITY; SCAN_LANES],
+        at: [usize::MAX; SCAN_LANES],
+    };
+
+    #[inline(always)]
+    fn offer(&mut self, lane: usize, v: f64, s: usize) {
+        let take = v >= self.val[lane];
+        self.val[lane] = if take { v } else { self.val[lane] };
+        self.at[lane] = if take { s } else { self.at[lane] };
+    }
+
+    /// Offer `v[k]` at index `s + k` to lane `k`, for every lane.
+    #[inline(always)]
+    fn offer_chunk(&mut self, v: &[f64; SCAN_LANES], s: usize) {
+        // Register copies again: selects into `self` through `&mut`
+        // become conditional stores.
+        let (mut val, mut at) = (self.val, self.at);
+        for k in 0..SCAN_LANES {
+            let take = v[k] >= val[k];
+            val[k] = if take { v[k] } else { val[k] };
+            at[k] = if take { s + k } else { at[k] };
+        }
+        (self.val, self.at) = (val, at);
+    }
+
+    /// The `(value, index)` a sequential scan over every offered index
+    /// in increasing order would have ended on.
+    fn finish(&self) -> Option<(f64, usize)> {
+        (0..SCAN_LANES)
+            .filter(|&k| self.at[k] != usize::MAX)
+            .map(|k| (self.val[k], self.at[k]))
+            .fold(None, |best, lane| later_max(best, Some(lane)))
+    }
+}
+
+/// The winner of two argmax candidates as a sequential `>=` scan would
+/// pick it: the larger value, or on equal values (`0.0 == -0.0`) the
+/// later index.
+fn later_max(a: Option<(f64, usize)>, b: Option<(f64, usize)>) -> Option<(f64, usize)> {
+    match (a, b) {
+        (Some((va, sa)), Some((vb, sb))) => {
+            if vb > va || (vb == va && sb > sa) {
+                b
+            } else {
+                a
+            }
+        }
+        (None, x) | (x, None) => x,
+    }
+}
+
+/// A whole [`SCAN_LANES`]-wide chunk as an array.
+#[inline(always)]
+fn lanes(chunk: &[f64]) -> &[f64; SCAN_LANES] {
+    chunk.try_into().expect("whole chunk")
+}
+
+/// The first-order `i` selection over `I_up`: the last index
+/// maximizing `−y_s G_s` among α-block variables below `C` and α*-block
+/// variables above zero. With `UPDATE`, each gradient pair is first
+/// advanced by `Δ = K_it·ci + K_jt·cj` (`+Δ` in the α block, `−Δ` in
+/// the α* block) and the selection sees the new values; without it,
+/// the rows and coefficients are never read.
+#[inline(always)]
+fn scan_up<const UPDATE: bool>(
+    grad: &mut [f64],
+    alpha: &[f64],
+    c: f64,
+    row_i: &[f64],
+    row_j: &[f64],
+    ci: f64,
+    cj: f64,
+) -> Option<(f64, usize)> {
+    let n = grad.len() / 2;
+    let (g, g_star) = grad.split_at_mut(n);
+    let (a, a_star) = alpha.split_at(n);
+    let (row_i, row_j) = (&row_i[..n], &row_j[..n]);
+    // Variable `t` of the α block and of the α* block: the (updated)
+    // gradients and the two values offered to the argmax.
+    let pair = |g: f64, g_star: f64, a: f64, a_star: f64, k_it: f64, k_jt: f64| {
+        let (g, g_star) = if UPDATE {
+            let delta = k_it * ci + k_jt * cj;
+            (g + delta, g_star - delta)
+        } else {
+            (g, g_star)
+        };
+        let up = if a < c { -g } else { f64::NAN };
+        let up_star = if a_star > 0.0 { g_star } else { f64::NAN };
+        (g, g_star, up, up_star)
+    };
+    let mut best = ArgMaxLanes::EMPTY;
+    let mut best_star = ArgMaxLanes::EMPTY;
+    let chunks = (g.chunks_exact_mut(SCAN_LANES)).zip(g_star.chunks_exact_mut(SCAN_LANES));
+    let chunks = chunks
+        .zip(
+            a.chunks_exact(SCAN_LANES)
+                .zip(a_star.chunks_exact(SCAN_LANES)),
+        )
+        .zip(
+            row_i
+                .chunks_exact(SCAN_LANES)
+                .zip(row_j.chunks_exact(SCAN_LANES)),
+        );
+    for (t, (((g, g_star), (a, a_star)), (k_i, k_j))) in (0..).step_by(SCAN_LANES).zip(chunks) {
+        let g: &mut [f64; SCAN_LANES] = g.try_into().expect("whole chunk");
+        let g_star: &mut [f64; SCAN_LANES] = g_star.try_into().expect("whole chunk");
+        let (a, a_star, k_i, k_j) = (lanes(a), lanes(a_star), lanes(k_i), lanes(k_j));
+        // Register copies: updated through the `&mut` chunks, the
+        // compiler cannot rule out aliasing and will not vectorize.
+        let (mut g_new, mut g_star_new) = (*g, *g_star);
+        let mut up = [0.0; SCAN_LANES];
+        let mut up_star = [0.0; SCAN_LANES];
+        for k in 0..SCAN_LANES {
+            (g_new[k], g_star_new[k], up[k], up_star[k]) =
+                pair(g_new[k], g_star_new[k], a[k], a_star[k], k_i[k], k_j[k]);
+        }
+        if UPDATE {
+            (*g, *g_star) = (g_new, g_star_new);
+        }
+        best.offer_chunk(&up, t);
+        best_star.offer_chunk(&up_star, n + t);
+    }
+    let full = n - n % SCAN_LANES;
+    for t in full..n {
+        let (up, up_star);
+        (g[t], g_star[t], up, up_star) = pair(g[t], g_star[t], a[t], a_star[t], row_i[t], row_j[t]);
+        best.offer(t - full, up, t);
+        best_star.offer(t - full, up_star, n + t);
+    }
+    // Every α* index follows every α index.
+    later_max(best.finish(), best_star.finish())
+}
+
+/// Base-kernel rows in direct-indexed slots: `slot_of[i]` locates row
+/// `i`, so a hit is an index, not a hash. At most `capacity` rows are
+/// held; once full, a ring cursor over the slots picks the victim
+/// (skipping the row the caller still needs) in O(1). Since a
+/// recomputed row is the same kernel evaluations, the policy decides
+/// only what is recomputed, never a number.
 struct RowCache {
     capacity: usize,
-    stamp: u64,
-    rows: HashMap<usize, (std::rc::Rc<Vec<f64>>, u64)>,
+    /// Row index → slot, or `usize::MAX` when not resident.
+    slot_of: Vec<usize>,
+    /// Each slot's row index and row.
+    slots: Vec<(usize, Vec<f64>)>,
+    /// Next eviction candidate once every slot is taken.
+    cursor: usize,
 }
 
 impl RowCache {
-    fn new(capacity: usize) -> RowCache {
+    fn new(n: usize, cache_rows: usize) -> RowCache {
         RowCache {
-            capacity: capacity.max(2),
-            stamp: 0,
-            rows: HashMap::new(),
+            capacity: cache_rows.max(2),
+            slot_of: vec![usize::MAX; n],
+            slots: Vec::new(),
+            cursor: 0,
         }
     }
 
-    fn get<F: FnOnce() -> Vec<f64>>(&mut self, i: usize, compute: F) -> std::rc::Rc<Vec<f64>> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some((row, s)) = self.rows.get_mut(&i) {
-            *s = stamp;
-            return row.clone();
+    /// The slot holding row `i` (`K(x_i, x_t)` for every `t`), computed
+    /// on a miss; the eviction this may take never picks row `keep`.
+    fn fetch(&mut self, i: usize, keep: usize, xs: &[Vec<f64>], kernel: SvmKernel) -> usize {
+        if self.slot_of[i] != usize::MAX {
+            return self.slot_of[i];
         }
-        if self.rows.len() >= self.capacity {
-            if let Some((&oldest, _)) = self.rows.iter().min_by_key(|(_, (_, s))| *s) {
-                self.rows.remove(&oldest);
+        let row = xs.iter().map(|x| kernel.eval(&xs[i], x));
+        let slot = if self.slots.len() < self.capacity {
+            self.slots.push((i, row.collect()));
+            self.slots.len() - 1
+        } else {
+            if self.slots[self.cursor].0 == keep {
+                self.cursor = (self.cursor + 1) % self.capacity;
             }
-        }
-        let row = std::rc::Rc::new(compute());
-        self.rows.insert(i, (row.clone(), stamp));
-        row
+            let slot = self.cursor;
+            self.cursor = (slot + 1) % self.capacity;
+            let (owner, held) = &mut self.slots[slot];
+            self.slot_of[*owner] = usize::MAX;
+            *owner = i;
+            held.clear();
+            held.extend(row);
+            slot
+        };
+        self.slot_of[i] = slot;
+        slot
+    }
+
+    fn row(&self, slot: usize) -> &[f64] {
+        &self.slots[slot].1
     }
 }
 
@@ -1025,6 +1326,46 @@ mod tests {
         let model = train_svr(&data, &params);
         for (x, y) in data.xs().iter().zip(data.ys()) {
             assert!((model.predict(x) - y).abs() < 0.05);
+        }
+        // The cache policy decides only which rows are recomputed,
+        // never a number.
+        let unbounded = train_svr(
+            &data,
+            &SvrParams {
+                cache_rows: usize::MAX,
+                ..params
+            },
+        );
+        assert_eq!(
+            reference::model_bits(&model),
+            reference::model_bits(&unbounded)
+        );
+    }
+
+    #[test]
+    fn every_simd_tier_solves_to_the_same_bits() {
+        // The dispatched path is compared with the reference solver;
+        // this pins the tiers this CPU does not dispatch to.
+        let data = linear_data(70, 0.05, 19);
+        for kernel in [SvmKernel::Linear, SvmKernel::Rbf { gamma: 0.5 }] {
+            let params = SvrParams {
+                kernel,
+                max_iter: 3_000,
+                ..SvrParams::paper_speedup()
+            };
+            let run = |solve: &dyn Fn(&mut Solver) -> usize| {
+                let mut solver = Solver::new(&data, &params);
+                let iterations = solve(&mut solver);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                (iterations, bits(&solver.alpha), bits(&solver.grad))
+            };
+            let dispatched = run(&|s| s.solve());
+            assert_eq!(run(&|s| s.solve_body()), dispatched);
+            #[cfg(all(target_arch = "x86_64", not(miri)))]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: reached only when the CPU reports AVX2.
+                assert_eq!(run(&|s| unsafe { s.solve_avx2() }), dispatched);
+            }
         }
     }
 
