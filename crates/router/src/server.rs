@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use gpufreq_obs::{trace, Exposition, Histogram, SpanRecorder, StageSet, TraceLog};
 use gpufreq_serve::http::Gateway;
 use gpufreq_serve::protocol::{ErrorBody, ErrorCode, Request, Response, ServerStats};
-use gpufreq_serve::server::{MAX_LINE_BYTES, READ_POLL};
+use gpufreq_serve::server::{ShutdownWriter, MAX_LINE_BYTES, READ_POLL, WRITE_POLL};
 use gpufreq_serve::{build_rev, LineClient};
 use gpufreq_sim::Device;
 
@@ -709,15 +709,19 @@ impl Router {
             stream.set_nonblocking(false)?;
             stream.set_nodelay(true).ok();
             stream.set_read_timeout(Some(READ_POLL))?;
+            stream.set_write_timeout(Some(WRITE_POLL))?;
             stream.try_clone()
         })();
-        let mut writer = match setup {
+        let writer = match setup {
             Ok(writer) => writer,
             Err(e) => {
                 self.note_conn_setup_failure(&e);
                 return;
             }
         };
+        // A client that streams requests but never reads must not
+        // block this thread past a shutdown.
+        let mut writer = ShutdownWriter::new(writer, || self.is_shutting_down());
         let mut reader = stream;
         let mut buf: Vec<u8> = Vec::new();
         let mut chunk = [0u8; 64 * 1024];
@@ -951,7 +955,7 @@ fn count(counter: &AtomicU64) -> u64 {
     counter.load(Ordering::Relaxed)
 }
 
-fn write_line(writer: &mut TcpStream, response: &str) -> io::Result<()> {
+fn write_line(writer: &mut impl Write, response: &str) -> io::Result<()> {
     writer.write_all(response.as_bytes())?;
     writer.write_all(b"\n")?;
     writer.flush()

@@ -28,7 +28,7 @@
 //! work, requests on one connection are answered strictly in order.
 
 use crate::protocol::{ErrorBody, ErrorCode, Request};
-use crate::server::{Server, MAX_LINE_BYTES, READ_POLL};
+use crate::server::{Server, ShutdownWriter, MAX_LINE_BYTES, READ_POLL, WRITE_POLL};
 use gpufreq_obs::trace;
 use serde::Value;
 use std::io::{self, Read, Write};
@@ -230,6 +230,9 @@ pub fn serve_http_connection<G: Gateway>(gateway: &G, stream: TcpStream, peer: I
         gateway.note_setup_failure(&e);
         return;
     }
+    // A client that pipelines requests but never reads the replies
+    // must not block this thread past a shutdown.
+    let mut writer = ShutdownWriter::new(&stream, || gateway.shutting_down());
     // Bytes read past the previous request's end (pipelining).
     let mut leftover: Vec<u8> = Vec::new();
     loop {
@@ -237,24 +240,26 @@ pub fn serve_http_connection<G: Gateway>(gateway: &G, stream: TcpStream, peer: I
             ReadOutcome::Request(request) => request,
             ReadOutcome::Closed => break,
             ReadOutcome::Malformed(reply) => {
-                let _ = write_reply(&stream, &reply, false);
+                let _ = write_reply(&mut writer, &reply, false);
                 break;
             }
         };
         let keep_alive = request.keep_alive && !gateway.shutting_down();
         let reply = respond(gateway, &request, peer);
-        if write_reply(&stream, &reply, keep_alive).is_err() || !keep_alive {
+        if write_reply(&mut writer, &reply, keep_alive).is_err() || !keep_alive {
             break;
         }
     }
 }
 
-/// Mirror the line listener's socket setup (blocking + read timeout so
-/// idle connections notice a server-wide shutdown).
+/// Mirror the line listener's socket setup (blocking + read and write
+/// timeouts so idle and stalled connections notice a server-wide
+/// shutdown).
 fn setup(stream: &TcpStream) -> io::Result<()> {
     stream.set_nonblocking(false)?;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_POLL))?;
+    stream.set_write_timeout(Some(WRITE_POLL))?;
     Ok(())
 }
 
@@ -550,7 +555,7 @@ const fn reason(status: u16) -> &'static str {
 
 /// Frame and write one reply; the body is always followed by a flush
 /// so pipelined clients are never stuck behind a buffered response.
-fn write_reply(mut stream: &TcpStream, reply: &HttpReply, keep_alive: bool) -> io::Result<()> {
+fn write_reply(stream: &mut impl Write, reply: &HttpReply, keep_alive: bool) -> io::Result<()> {
     let trace_header = match &reply.trace {
         Some(id) => format!("{TRACE_HEADER}: {id}\r\n"),
         None => String::new(),

@@ -57,6 +57,51 @@ const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// router front end polls at the same cadence.
 pub const READ_POLL: Duration = Duration::from_millis(200);
 
+/// Write timeout on accepted sockets, so a connection blocked writing
+/// to a peer that stopped reading re-checks the shutdown flag (see
+/// [`ShutdownWriter`]). Public so the router front end uses it too.
+pub const WRITE_POLL: Duration = Duration::from_millis(200);
+
+/// A socket writer that cannot outlive a server-wide shutdown.
+///
+/// The socket carries a [`WRITE_POLL`] write timeout. A write that
+/// times out — the peer read nothing for a whole poll interval, so the
+/// send buffer stayed full — is retried while `stop` returns false and
+/// fails with the timeout once it returns true. A slow but reading
+/// peer therefore still gets every byte, while a peer that never reads
+/// cannot pin its connection thread, and with it the server's drain,
+/// forever.
+pub struct ShutdownWriter<W, F> {
+    inner: W,
+    stop: F,
+}
+
+impl<W: Write, F: Fn() -> bool> ShutdownWriter<W, F> {
+    /// Wrap `inner`, whose socket must already have a write timeout.
+    pub fn new(inner: W, stop: F) -> ShutdownWriter<W, F> {
+        ShutdownWriter { inner, stop }
+    }
+}
+
+impl<W: Write, F: Fn() -> bool> Write for ShutdownWriter<W, F> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        loop {
+            match self.inner.write(buf) {
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) && !(self.stop)() => {}
+                result => return result,
+            }
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
 /// Requests larger than this are answered with `bad_request` instead
 /// of being parsed (a kernel source is kilobytes; a megabyte line is
 /// not a kernel). The pump discards — never buffers — bytes beyond
@@ -1321,6 +1366,7 @@ impl Server {
             stream.set_nonblocking(false)?;
             stream.set_nodelay(true).ok();
             stream.set_read_timeout(Some(READ_POLL))?;
+            stream.set_write_timeout(Some(WRITE_POLL))?;
             let reader = BufReader::new(stream.try_clone()?);
             Ok((reader, stream))
         })();
@@ -1331,6 +1377,10 @@ impl Server {
                 return;
             }
         };
+        // A client that streams requests but never reads fills the
+        // send buffer; without the timeout the writer would block for
+        // good, and the connection (and the daemon) would never drain.
+        let writer = ShutdownWriter::new(writer, || self.is_shutting_down());
         let lane = ResponseLane::new();
         std::thread::scope(|s| {
             let lane_ref = &lane;
@@ -1983,26 +2033,142 @@ mod tests {
         // Give the busy stream a moment to be mid-flow, then shut
         // down via a second connection.
         std::thread::sleep(Duration::from_millis(100));
-        {
-            use std::io::BufRead as _;
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut writer = stream.try_clone().unwrap();
-            let mut reader = BufReader::new(stream);
-            writeln!(writer, "{}", Request::Shutdown.to_json()).unwrap();
-            writer.flush().unwrap();
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert!(matches!(
-                Response::parse(line.trim()).unwrap(),
-                Response::Shutdown
-            ));
-        }
+        shut_down(addr);
         // The daemon must drain and exit even though the busy client
-        // never stops sending; a wedged serve() would hang the suite
-        // here, which the harness reports as the regression.
-        let summary = daemon.join().unwrap();
+        // never stops sending.
+        let summary = join_within(daemon, "serve() after shutdown");
         assert!(summary.requests.shutdown >= 1);
-        busy.join().unwrap();
+        join_within(busy, "the busy client");
+    }
+
+    /// Join `handle`, failing the test instead of hanging the suite
+    /// when `what` is still running after 30 s.
+    fn join_within<T>(handle: std::thread::JoinHandle<T>, what: &str) -> T {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !handle.is_finished() {
+            assert!(Instant::now() < deadline, "{what} is wedged");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        handle.join().unwrap()
+    }
+
+    /// Ask the line listener at `addr` to shut the server down.
+    fn shut_down(addr: std::net::SocketAddr) {
+        use std::io::BufRead as _;
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writeln!(writer, "{}", Request::Shutdown.to_json()).unwrap();
+        writer.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(matches!(
+            Response::parse(line.trim()).unwrap(),
+            Response::Shutdown
+        ));
+    }
+
+    #[test]
+    fn a_busy_http_client_cannot_block_tcp_shutdown() {
+        // The HTTP twin: a client pipelining requests without ever
+        // reading a reply leaves its connection thread blocked writing
+        // once the socket buffers fill.
+        let server = Arc::new(server(ServerConfig {
+            workers: 1,
+            ..small_config()
+        }));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let http = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (addr, http_addr) = (listener.local_addr().unwrap(), http.local_addr().unwrap());
+        let daemon = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.serve_with_http(listener, Some(http)).unwrap())
+        };
+        let busy = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(http_addr).unwrap();
+            let request = b"GET /devices HTTP/1.1\r\nhost: gpufreq\r\n\r\n";
+            while stream.write_all(request).is_ok() {}
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        shut_down(addr);
+        let summary = join_within(daemon, "serve_with_http() after shutdown");
+        assert!(summary.requests.shutdown >= 1);
+        join_within(busy, "the busy client");
+    }
+
+    /// A connected loopback pair; the first end carries `write_timeout`,
+    /// as [`ShutdownWriter`] expects.
+    fn socket_pair(write_timeout: Duration) -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_write_timeout(Some(write_timeout)).unwrap();
+        (stream, peer)
+    }
+
+    #[test]
+    fn shutdown_writer_gives_up_on_a_peer_that_never_reads() {
+        // Regression: the connection writer blocked for good once a
+        // client that never reads had filled both socket buffers, so
+        // the daemon could not drain after a shutdown.
+        let (stream, _peer) = socket_pair(Duration::from_millis(20));
+        let stop = Arc::new(AtomicBool::new(false));
+        let writing = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                // ordering: Relaxed — a lone flag; no other memory rides on it.
+                let mut writer = ShutdownWriter::new(stream, || stop.load(Ordering::Relaxed));
+                let chunk = vec![b'x'; 1 << 20];
+                loop {
+                    if let Err(e) = writer.write_all(&chunk) {
+                        break e;
+                    }
+                }
+            })
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        // ordering: Relaxed — see the load above.
+        stop.store(true, Ordering::Relaxed);
+        let err = join_within(writing, "the writer after stop");
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn shutdown_writer_waits_out_a_slow_reader() {
+        use std::io::Read as _;
+        let (stream, mut peer) = socket_pair(Duration::from_millis(20));
+        // Times a write timed out and asked whether to give up.
+        let polls = std::cell::Cell::new(0);
+        let mut writer = ShutdownWriter::new(stream, || {
+            polls.set(polls.get() + 1);
+            false
+        });
+        // Far more than the socket buffers hold while the peer stalls.
+        let payload = vec![b'x'; 16 << 20];
+        std::thread::scope(|s| {
+            let reader = s.spawn(move || {
+                // Stall for several write timeouts, then drain to EOF.
+                std::thread::sleep(Duration::from_millis(150));
+                let mut buf = vec![0u8; 64 << 10];
+                let mut received = 0;
+                loop {
+                    match peer.read(&mut buf).unwrap() {
+                        0 => break received,
+                        n => received += n,
+                    }
+                }
+            });
+            writer.write_all(&payload).unwrap();
+            drop(writer);
+            assert_eq!(reader.join().unwrap(), payload.len());
+        });
+        assert!(polls.get() > 0, "the stall never timed a write out");
     }
 
     #[test]
