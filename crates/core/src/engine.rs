@@ -3,7 +3,7 @@
 //!
 //! Everything above [`GpuSimulator::sweep`](gpufreq_sim::GpuSimulator)
 //! — per-benchmark training sweeps, per-workload evaluation,
-//! per-fold cross-validation, per-source batch prediction — is
+//! per-source batch prediction — is
 //! independent work over an indexed list. [`Engine`] packages the one
 //! primitive they all need: [`Engine::map`], a scoped-thread fan-out
 //! over a slice whose results are merged back **in input order**, so a

@@ -12,8 +12,8 @@
 //! * [`artifact`] — [`ModelArtifact`], the versioned, device-tagged
 //!   persistence envelope;
 //! * [`engine`] — the parallel execution [`Engine`] (deterministic
-//!   index-ordered fan-out of training, evaluation, cross-validation
-//!   and batch prediction) and the shared [`ProfileCache`];
+//!   index-ordered fan-out of training, evaluation and batch
+//!   prediction) and the shared [`ProfileCache`];
 //! * [`pipeline`] — the training phase (Fig. 2): execute the 106
 //!   synthetic micro-benchmarks at 40 sampled frequency settings and
 //!   assemble `(features ⊕ frequencies) → (speedup, normalized energy)`
@@ -64,9 +64,7 @@
 
 #![deny(missing_docs)]
 
-pub mod active;
 pub mod artifact;
-pub mod crossval;
 pub mod engine;
 pub mod error;
 pub mod evaluate;
@@ -76,11 +74,7 @@ pub mod planner;
 pub mod predict;
 pub mod report;
 
-pub use active::{refine_pareto, RefinedPoint, RefinedPrediction};
 pub use artifact::ModelArtifact;
-pub use crossval::{
-    leave_one_pattern_out, leave_one_pattern_out_with, CrossValidation, FoldResult,
-};
 pub use engine::{Engine, ProfileCache};
 pub use error::{Error, Result, MODEL_FORMAT_VERSION};
 pub use evaluate::{

@@ -44,11 +44,12 @@ pub fn quantile_from_counts(counts: &[u64], q: f64) -> u64 {
     bucket_upper_bound_us(BUCKETS - 1)
 }
 
-/// A lock-free power-of-two latency histogram with count, sum, and
-/// max side-cars — enough to render a Prometheus histogram family.
+/// A lock-free power-of-two latency histogram with sum and max
+/// side-cars — enough to render a Prometheus histogram family. The
+/// observation count is not stored: a snapshot derives it from the
+/// buckets it loaded, so it can never disagree with them.
 #[derive(Debug)]
 pub struct Histogram {
-    count: AtomicU64,
     sum_us: AtomicU64,
     max_us: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
@@ -64,7 +65,6 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Histogram {
         Histogram {
-            count: AtomicU64::new(0),
             sum_us: AtomicU64::new(0),
             max_us: AtomicU64::new(0),
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -76,8 +76,6 @@ impl Histogram {
         // ordering: Relaxed — independent statistical counters; no
         // other memory is published through them and snapshots are
         // advisory.
-        self.count.fetch_add(1, Ordering::Relaxed);
-        // ordering: Relaxed — see above.
         self.sum_us.fetch_add(us, Ordering::Relaxed);
         // ordering: Relaxed — see above.
         self.max_us.fetch_max(us, Ordering::Relaxed);
@@ -85,22 +83,25 @@ impl Histogram {
         self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy of the histogram.
+    /// A point-in-time copy of the histogram. `count` is the sum of
+    /// the copied buckets, so a snapshot taken mid-observation still
+    /// renders a valid exposition (no cumulative bucket above
+    /// `+Inf`/`_count`).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
+        let buckets: Vec<u64> = self
+            .buckets
+            .iter()
             // ordering: Relaxed — advisory snapshot of independent
-            // counters; exactness across fields is not required.
-            count: self.count.load(Ordering::Relaxed),
+            // counters; the count is derived from these very loads.
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        HistogramSnapshot {
+            count: buckets.iter().sum(),
             // ordering: Relaxed — see above.
             sum_us: self.sum_us.load(Ordering::Relaxed),
             // ordering: Relaxed — see above.
             max_us: self.max_us.load(Ordering::Relaxed),
-            buckets: self
-                .buckets
-                .iter()
-                // ordering: Relaxed — see above.
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            buckets,
         }
     }
 }
@@ -253,6 +254,38 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.buckets[BUCKETS - 1], 2);
         assert_eq!(snap.quantile_us(0.5), bucket_upper_bound_us(BUCKETS - 1));
+    }
+
+    #[test]
+    fn snapshots_taken_mid_observation_stay_consistent() {
+        use std::sync::atomic::AtomicBool;
+        // Regression: `count` used to be loaded apart from the buckets,
+        // so a snapshot racing an observer could render a cumulative
+        // bucket above `+Inf`, which the exposition parser rejects.
+        let h = Histogram::new();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut us = 0u64;
+                // ordering: Relaxed — a lone stop flag.
+                while !done.load(Ordering::Relaxed) {
+                    h.observe_us(us % 5000);
+                    us += 7;
+                }
+            });
+            for _ in 0..2000 {
+                let snap = h.snapshot();
+                assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
+                let mut x = crate::Exposition::new();
+                x.histogram_us("race_us", "Observed while snapshotting.", &snap);
+                let text = x.finish();
+                if let Err(e) = crate::parse_exposition(&text) {
+                    panic!("torn snapshot rendered an invalid exposition: {e}\n{text}");
+                }
+            }
+            // ordering: Relaxed — see the load above.
+            done.store(true, Ordering::Relaxed);
+        });
     }
 
     #[test]

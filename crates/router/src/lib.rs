@@ -8,6 +8,13 @@
 //! holds no models, so backends can be added, drained, and restarted
 //! behind a stable client address.
 //!
+//! The client side runs on the daemon's own connection layer
+//! ([`gpufreq_serve::conn`]): the same accept loops, connection cap,
+//! socket setup and bounded line framer, driven through
+//! [`gpufreq_serve::http::Gateway`]. Only what happens to a framed
+//! line is the router's own — it is forwarded to a backend before the
+//! next line on that connection is read.
+//!
 //! # Routing
 //!
 //! Two levels, both deterministic:

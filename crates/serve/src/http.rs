@@ -27,11 +27,12 @@
 //! to the line protocol's request bound; keep-alive and pipelining
 //! work, requests on one connection are answered strictly in order.
 
+use crate::conn::{error_code_of, LineWriter, ShutdownWriter, MAX_LINE_BYTES};
 use crate::protocol::{ErrorBody, ErrorCode, Request};
-use crate::server::{Server, ShutdownWriter, MAX_LINE_BYTES, READ_POLL, WRITE_POLL};
+use crate::server::Server;
 use gpufreq_obs::trace;
 use serde::Value;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{IpAddr, TcpStream};
 
 /// Largest accepted HTTP head (request line + headers).
@@ -41,18 +42,20 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// echoes) a request's trace id across the HTTP surface.
 pub const TRACE_HEADER: &str = "x-gpufreq-trace";
 
-/// What the HTTP adapter needs from the process behind it. The daemon
-/// ([`Server`]) and the router front end both implement this, so one
-/// HTTP surface serves both — routes, framing, bounds, and status
-/// mapping cannot drift between them.
+/// What the shared connection layer ([`crate::conn`]) needs from the
+/// process behind it. The daemon ([`Server`]) and the router front end
+/// both implement this, so one accept loop, connection cap, line
+/// framer and HTTP surface serve both — routes, framing, bounds, and
+/// status mapping cannot drift between them.
 pub trait Gateway: Sync {
     /// Execute one protocol request to its serialized response body.
     /// `trace` is the caller-supplied trace id (already validated), to
     /// be carried through the process and echoed in the body.
     fn execute(&self, request: Request, peer: IpAddr, trace: Option<&str>) -> String;
 
-    /// Whether the process is draining (healthz answers 503,
-    /// keep-alive stops being honoured).
+    /// Whether the process is draining: the accept loops stop,
+    /// connections close at their next read timeout, healthz answers
+    /// 503, and keep-alive stops being honoured.
     fn shutting_down(&self) -> bool;
 
     /// The Prometheus text exposition served on `GET /metrics`. Like
@@ -69,12 +72,20 @@ pub trait Gateway: Sync {
 
     /// Count and serialize a request that failed before it parsed into
     /// a protocol [`Request`] (unroutable path, wrong method, bad
-    /// body), so malformed HTTP traffic is tallied like malformed
-    /// protocol lines.
+    /// body, an oversize or non-UTF-8 line), so malformed HTTP traffic
+    /// is tallied like malformed protocol lines.
     fn malformed(&self, error: ErrorBody) -> String;
 
-    /// Record a socket-setup failure on an accepted connection.
-    fn note_setup_failure(&self, error: &io::Error);
+    /// Serve one accepted JSON-lines connection until close: frame
+    /// requests out of `reader` with [`conn::pump`](crate::conn::pump)
+    /// and write one response line per request to `writer`, in
+    /// request order. The socket is already set up.
+    fn serve_line_connection(
+        &self,
+        reader: BufReader<TcpStream>,
+        writer: LineWriter<'_>,
+        peer: IpAddr,
+    );
 }
 
 impl Gateway for Server {
@@ -100,8 +111,13 @@ impl Gateway for Server {
         self.malformed_request_body(error)
     }
 
-    fn note_setup_failure(&self, error: &io::Error) {
-        Server::note_setup_failure(self, error);
+    fn serve_line_connection(
+        &self,
+        reader: BufReader<TcpStream>,
+        writer: LineWriter<'_>,
+        peer: IpAddr,
+    ) {
+        let _ = self.line_session(reader, writer, Some(peer), false);
     }
 }
 
@@ -213,7 +229,7 @@ enum ReadOutcome {
 /// The canned HTTP refusal for a connection rejected at the
 /// connection cap — written best-effort by the acceptor, which never
 /// spawns a thread for the victim.
-pub fn refusal_payload(body: &str) -> String {
+pub(crate) fn refusal_payload(body: &str) -> String {
     format!(
         "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
          content-length: {}\r\nconnection: close\r\n\r\n{}",
@@ -223,13 +239,9 @@ pub fn refusal_payload(body: &str) -> String {
 }
 
 /// Serve one accepted HTTP connection until close, keep-alive
-/// included. Called from the owning accept loop with the connection
-/// slot already claimed.
-pub fn serve_http_connection<G: Gateway>(gateway: &G, stream: TcpStream, peer: IpAddr) {
-    if let Err(e) = setup(&stream) {
-        gateway.note_setup_failure(&e);
-        return;
-    }
+/// included. Called by the connection layer with the slot claimed and
+/// the socket set up.
+pub(crate) fn serve_http_connection<G: Gateway>(gateway: &G, stream: TcpStream, peer: IpAddr) {
     // A client that pipelines requests but never reads the replies
     // must not block this thread past a shutdown.
     let mut writer = ShutdownWriter::new(&stream, || gateway.shutting_down());
@@ -250,17 +262,6 @@ pub fn serve_http_connection<G: Gateway>(gateway: &G, stream: TcpStream, peer: I
             break;
         }
     }
-}
-
-/// Mirror the line listener's socket setup (blocking + read and write
-/// timeouts so idle and stalled connections notice a server-wide
-/// shutdown).
-fn setup(stream: &TcpStream) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(READ_POLL))?;
-    stream.set_write_timeout(Some(WRITE_POLL))?;
-    Ok(())
 }
 
 /// Pull more bytes into `buf`. `Ok(false)` means the connection is
@@ -523,19 +524,14 @@ fn reply_from_body(body: String) -> HttpReply {
 
 /// HTTP status for a serialized protocol response body.
 fn status_for(body: &str) -> u16 {
-    let Some(rest) = body.strip_prefix("{\"error\":{\"code\":\"") else {
-        return 200;
-    };
-    let Some(end) = rest.find('"') else {
-        return 500;
-    };
-    match &rest[..end] {
-        "bad_request" => 400,
-        "unknown_device" | "device_not_served" => 404,
-        "kernel" => 422,
-        "overloaded" | "shutting_down" => 503,
+    match error_code_of(body) {
+        None => 200,
+        Some("bad_request") => 400,
+        Some("unknown_device" | "device_not_served") => 404,
+        Some("kernel") => 422,
+        Some("overloaded" | "shutting_down") => 503,
         // reload_failed, internal, and anything future-unknown.
-        _ => 500,
+        Some(_) => 500,
     }
 }
 

@@ -23,7 +23,12 @@
 //!   surfaced by the `stats` request and the final shutdown summary;
 //! * **deterministic responses**: the same request stream produces
 //!   byte-identical response bodies at any worker count (see
-//!   [`server`]'s module docs; pinned by `tests/determinism.rs`).
+//!   [`server`]'s module docs; pinned by `tests/determinism.rs`);
+//! * one **connection layer** ([`conn`]) — accept loops, the
+//!   connection cap and its typed refusal, socket setup, and the
+//!   bounded line framer — which the router front end in
+//!   `gpufreq-router` drives through the same [`http::Gateway`] trait,
+//!   so the two tiers answer raw client bytes identically.
 //!
 //! ```no_run
 //! use gpufreq_core::{Corpus, Planner};
@@ -57,6 +62,7 @@
 pub mod admission;
 pub mod cache;
 pub mod codec;
+pub mod conn;
 pub mod http;
 pub mod metrics;
 pub mod protocol;

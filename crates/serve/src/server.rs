@@ -1,6 +1,7 @@
 //! The prediction server: planners for every served device, a worker
 //! pool behind a bounded queue, the response front cache, and the
-//! TCP/stdio serving loops.
+//! pipelined line session that both stdio replay and TCP connections
+//! (accepted by [`crate::conn`]) run on.
 //!
 //! # Determinism
 //!
@@ -32,6 +33,7 @@
 
 use crate::admission::{Admission, AdmissionConfig, Rejection};
 use crate::cache::{key_hash, FrontCache};
+use crate::conn::{self, error_code_of, Connections};
 use crate::metrics::Metrics;
 use crate::protocol::{
     CacheStats, DeviceInfo, ErrorBody, ErrorCode, QueueStats, Request, Response, ServerInfo,
@@ -42,73 +44,11 @@ use crate::reload::PlannerSlot;
 use gpufreq_core::{ascii_table, ProfileCache, TrainedPlanner};
 use gpufreq_obs::{trace, Exposition, SpanRecorder, StageSet, TraceLog};
 use gpufreq_sim::Device;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{IpAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::io::{self, BufRead, Write};
+use std::net::{IpAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::Scope;
-use std::time::{Duration, Instant};
-
-/// How often the nonblocking accept loop re-checks the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
-/// Read timeout on accepted sockets, so connection readers notice a
-/// server-wide shutdown even while their client is idle. Public so the
-/// router front end polls at the same cadence.
-pub const READ_POLL: Duration = Duration::from_millis(200);
-
-/// Write timeout on accepted sockets, so a connection blocked writing
-/// to a peer that stopped reading re-checks the shutdown flag (see
-/// [`ShutdownWriter`]). Public so the router front end uses it too.
-pub const WRITE_POLL: Duration = Duration::from_millis(200);
-
-/// A socket writer that cannot outlive a server-wide shutdown.
-///
-/// The socket carries a [`WRITE_POLL`] write timeout. A write that
-/// times out — the peer read nothing for a whole poll interval, so the
-/// send buffer stayed full — is retried while `stop` returns false and
-/// fails with the timeout once it returns true. A slow but reading
-/// peer therefore still gets every byte, while a peer that never reads
-/// cannot pin its connection thread, and with it the server's drain,
-/// forever.
-pub struct ShutdownWriter<W, F> {
-    inner: W,
-    stop: F,
-}
-
-impl<W: Write, F: Fn() -> bool> ShutdownWriter<W, F> {
-    /// Wrap `inner`, whose socket must already have a write timeout.
-    pub fn new(inner: W, stop: F) -> ShutdownWriter<W, F> {
-        ShutdownWriter { inner, stop }
-    }
-}
-
-impl<W: Write, F: Fn() -> bool> Write for ShutdownWriter<W, F> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        loop {
-            match self.inner.write(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) && !(self.stop)() => {}
-                result => return result,
-            }
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Requests larger than this are answered with `bad_request` instead
-/// of being parsed (a kernel source is kilobytes; a megabyte line is
-/// not a kernel). The pump discards — never buffers — bytes beyond
-/// the bound, so oversized (or newline-less) input cannot grow server
-/// memory. The HTTP gateway applies the same bound to request bodies,
-/// and the router enforces it on both its client and backend sides.
-pub const MAX_LINE_BYTES: usize = 4 << 20;
+use std::time::Instant;
 
 /// The daemon's per-stage span names, in pipeline order: admission
 /// gating, queue wait, front-cache lookup, kernel parse+analysis, SVR
@@ -135,33 +75,6 @@ fn attach_trace(body: String, trace_id: Option<&str>) -> String {
     match trace_id {
         Some(id) => trace::attach(&body, id),
         None => body,
-    }
-}
-
-/// The typed error code of a serialized response body, if it is an
-/// error response. Bodies are trusted output of this process, so the
-/// prefix check is exact (the serializer puts `error.code` first).
-fn error_code_of(body: &str) -> Option<&str> {
-    let rest = body.strip_prefix("{\"error\":{\"code\":\"")?;
-    rest.split('"').next()
-}
-
-/// The `bad_request` body for a line crossing [`MAX_LINE_BYTES`].
-fn oversize_error() -> ErrorBody {
-    ErrorBody::new(
-        ErrorCode::BadRequest,
-        format!("request line exceeds {MAX_LINE_BYTES} bytes"),
-    )
-}
-
-/// Append `bytes` to the line buffer unless that would cross
-/// [`MAX_LINE_BYTES`]; past the bound the line is marked overflowed
-/// and everything further is dropped on the floor.
-fn append_bounded(buf: &mut Vec<u8>, bytes: &[u8], overflowed: &mut bool) {
-    if *overflowed || buf.len() + bytes.len() > MAX_LINE_BYTES {
-        *overflowed = true;
-    } else {
-        buf.extend_from_slice(bytes);
     }
 }
 
@@ -229,15 +142,6 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Which protocol an accepted socket speaks.
-#[derive(Debug, Clone, Copy)]
-enum ConnKind {
-    /// The canonical JSON-lines protocol.
-    Line,
-    /// The HTTP/1.1 gateway.
-    Http,
-}
-
 /// One queued unit of work: the parsed request, the slot its response
 /// body goes into, and when it was accepted (for the latency
 /// histogram).
@@ -275,8 +179,7 @@ pub struct Server {
     admission: Admission,
     shutting_down: AtomicBool,
     workers: usize,
-    max_connections: usize,
-    active_connections: AtomicUsize,
+    conns: Connections,
     started: Instant,
     stages: StageSet,
     trace_log: Option<Arc<TraceLog>>,
@@ -322,8 +225,7 @@ impl Server {
             admission: Admission::new(config.admission),
             shutting_down: AtomicBool::new(false),
             workers: config.workers.max(1),
-            max_connections: config.max_connections.max(1),
-            active_connections: AtomicUsize::new(0),
+            conns: Connections::new("gpufreq-serve", config.max_connections),
             started: Instant::now(),
             stages: StageSet::new(&STAGE_NAMES),
             trace_log: None,
@@ -365,7 +267,7 @@ impl Server {
     pub fn stats(&self) -> ServerStats {
         ServerStats {
             requests: self.metrics.request_counts(),
-            connections: self.metrics.connection_counts(),
+            connections: self.conns.stats(),
             front_cache: CacheStats {
                 hits: self.front.hits(),
                 misses: self.front.misses(),
@@ -1039,10 +941,6 @@ impl Server {
                 self.finish_inline(op, accepted, trace_id, peer, stages, body),
             )));
         };
-        if line.len() > MAX_LINE_BYTES {
-            answer("invalid", &[], self.error_response(oversize_error()));
-            return;
-        }
         let request = match Request::parse(line) {
             Ok(request) => request,
             Err(e) => {
@@ -1136,132 +1034,54 @@ impl Server {
         }
     }
 
-    /// Read protocol lines from `reader` until EOF (or, under
-    /// shutdown, until the next read timeout), feeding `lane`.
-    ///
-    /// Lines are assembled through a bounded buffer: once a line
-    /// crosses [`MAX_LINE_BYTES`] the rest of it is *discarded as it
-    /// streams in* (never accumulated), and the finished line is
-    /// answered with a typed `bad_request` — a newline-less firehose
-    /// cannot grow server memory. A poisoned lane (the connection's
-    /// writer died) stops the pump: answers for a dead client are
-    /// undeliverable, so reading more requests for it is pure waste.
-    fn pump<R: BufRead>(
+    /// Frame protocol lines out of `reader` with the shared
+    /// [`conn::pump`] and feed them into `lane`: requests through
+    /// [`accept_line`](Server::accept_line), oversize and non-UTF-8
+    /// lines as their already-counted refusals. A poisoned lane (the
+    /// connection's writer died) stops the pump: answers for a dead
+    /// client are undeliverable, so reading more requests for it is
+    /// pure waste.
+    fn feed_lane<R: BufRead>(
         &self,
-        mut reader: R,
+        reader: R,
         lane: &ResponseLane,
-        wait_for_space: bool,
+        replay: bool,
         peer: Option<IpAddr>,
     ) {
-        let mut buf: Vec<u8> = Vec::new();
-        let mut overflowed = false;
         let mut local_shutdown = false;
-        loop {
+        conn::pump(self, reader, replay, |line| {
             if lane.is_poisoned() {
-                // Regression guard: the writer's socket failed; without
-                // this check the reader kept parsing and enqueueing work
-                // whose responses could never be delivered.
-                break;
+                return false;
             }
-            let (consumed, complete) = match reader.fill_buf() {
-                Ok([]) => {
-                    // EOF: a final unterminated line is still a request.
-                    if !buf.is_empty() || overflowed {
-                        self.finish_line(
-                            &mut buf,
-                            &mut overflowed,
-                            lane,
-                            &mut local_shutdown,
-                            wait_for_space,
-                            peer,
-                        );
-                    }
-                    break;
-                }
-                Ok(bytes) => match bytes.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        append_bounded(&mut buf, &bytes[..pos], &mut overflowed);
-                        (pos + 1, true)
-                    }
-                    None => {
-                        append_bounded(&mut buf, bytes, &mut overflowed);
-                        (bytes.len(), false)
-                    }
-                },
-                // A read timeout (TCP sockets poll at `READ_POLL`):
-                // keep any partial line buffered and re-check the
-                // shutdown flag.
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    if self.is_shutting_down() {
-                        break;
-                    }
-                    continue;
-                }
-                Err(_) => break,
-            };
-            reader.consume(consumed);
-            if complete {
-                self.finish_line(
-                    &mut buf,
-                    &mut overflowed,
-                    lane,
-                    &mut local_shutdown,
-                    wait_for_space,
-                    peer,
-                );
+            match line {
+                Ok(line) => self.accept_line(line, lane, &mut local_shutdown, replay, peer),
+                Err(refusal) => lane.push(Arc::new(Slot::filled(refusal))),
             }
-            // TCP only: a client that keeps streaming must not pin its
-            // connection thread (and with it the daemon) open across a
-            // server-wide shutdown — the timeout arm alone never fires
-            // while data keeps arriving. Replay streams instead drain
-            // to EOF so every recorded line gets its deterministic
-            // answer.
-            if !wait_for_space && self.is_shutting_down() {
-                break;
-            }
-        }
+            true
+        });
     }
 
-    /// One assembled line out of [`pump`](Server::pump): answer
-    /// oversize and non-UTF-8 lines with typed errors, hand everything
-    /// else to [`accept_line`](Server::accept_line). Resets the buffer
-    /// for the next line.
-    fn finish_line(
+    /// Serve one line stream: the calling thread frames and accepts
+    /// requests while a scoped writer thread drains the in-order lane
+    /// into `writer`. `replay` selects single-stream replay (no peer,
+    /// pause on a full queue, read to EOF); sockets reject with
+    /// `overloaded` instead, because the reader must never block on
+    /// the queue.
+    pub(crate) fn line_session<R: BufRead, W: Write + Send>(
         &self,
-        buf: &mut Vec<u8>,
-        overflowed: &mut bool,
-        lane: &ResponseLane,
-        local_shutdown: &mut bool,
-        wait_for_space: bool,
+        reader: R,
+        writer: W,
         peer: Option<IpAddr>,
-    ) {
-        let line_bytes = std::mem::take(buf);
-        if std::mem::take(overflowed) {
-            self.metrics.count_line();
-            lane.push(Arc::new(Slot::filled(
-                self.error_response(oversize_error()),
-            )));
-            return;
-        }
-        let Ok(line) = String::from_utf8(line_bytes) else {
-            self.metrics.count_line();
-            lane.push(Arc::new(Slot::filled(self.error_response(ErrorBody::new(
-                ErrorCode::BadRequest,
-                "request line is not valid UTF-8",
-            )))));
-            return;
-        };
-        let line = line.trim();
-        if !line.is_empty() {
-            self.accept_line(line, lane, local_shutdown, wait_for_space, peer);
-        }
+        replay: bool,
+    ) -> io::Result<()> {
+        let lane = ResponseLane::new();
+        std::thread::scope(|s| {
+            let writer_thread = s.spawn(|| Server::write_lane(&lane, writer, Some(&self.stages)));
+            self.feed_lane(reader, &lane, replay, peer);
+            lane.close();
+            // analyze:allow(panic-in-request-path, reason = "join() only errors if the writer itself panicked; re-raising that panic is the faithful report")
+            writer_thread.join().expect("writer thread panicked")
+        })
     }
 
     /// Serve one already-connected byte stream (stdin/stdout, a pipe,
@@ -1277,27 +1097,19 @@ impl Server {
         R: BufRead,
         W: Write + Send,
     {
-        let lane = ResponseLane::new();
-        let write_result = std::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..self.workers {
                 s.spawn(|| self.worker_loop());
             }
-            let lane_ref = &lane;
-            let stages = &self.stages;
-            let writer_thread = s.spawn(move || Server::write_lane(lane_ref, writer, Some(stages)));
             // Single-stream replay: pause the reader on a full queue
             // instead of rejecting, so the replayed bytes stay
             // independent of worker timing at any stream length.
-            self.pump(reader, &lane, true, None);
-            lane.close();
-            // analyze:allow(panic-in-request-path, reason = "join() only errors if the writer itself panicked; re-raising that panic is the faithful report")
-            let result = writer_thread.join().expect("writer thread panicked");
+            let result = self.line_session(reader, writer, None, true);
             // Now that every accepted job has been answered, release
             // the workers (the scope joins them).
             self.initiate_shutdown();
             result
-        });
-        write_result?;
+        })?;
         Ok(self.stats())
     }
 
@@ -1355,155 +1167,6 @@ impl Server {
         result
     }
 
-    /// Handle one accepted TCP connection: reader + in-order writer.
-    ///
-    /// Socket setup (`try_clone`, timeouts) can fail under fd
-    /// pressure; such connections are dropped, **counted**
-    /// (`conn_failed` in the stats), and logged once per process —
-    /// they used to vanish silently through `?`.
-    fn connection(&self, stream: TcpStream, peer: Option<IpAddr>) {
-        let setup = (|| -> io::Result<(BufReader<TcpStream>, TcpStream)> {
-            stream.set_nonblocking(false)?;
-            stream.set_nodelay(true).ok();
-            stream.set_read_timeout(Some(READ_POLL))?;
-            stream.set_write_timeout(Some(WRITE_POLL))?;
-            let reader = BufReader::new(stream.try_clone()?);
-            Ok((reader, stream))
-        })();
-        let (reader, writer) = match setup {
-            Ok(pair) => pair,
-            Err(e) => {
-                self.note_setup_failure(&e);
-                return;
-            }
-        };
-        // A client that streams requests but never reads fills the
-        // send buffer; without the timeout the writer would block for
-        // good, and the connection (and the daemon) would never drain.
-        let writer = ShutdownWriter::new(writer, || self.is_shutting_down());
-        let lane = ResponseLane::new();
-        std::thread::scope(|s| {
-            let lane_ref = &lane;
-            let stages = &self.stages;
-            let writer_thread = s.spawn(move || Server::write_lane(lane_ref, writer, Some(stages)));
-            // TCP: never block the shared acceptor path on a full
-            // queue — reject with `overloaded`.
-            self.pump(reader, &lane, false, peer);
-            lane.close();
-            // analyze:allow(panic-in-request-path, reason = "join() only errors if the connection writer panicked; re-raising is the faithful report")
-            let _ = writer_thread.join().expect("connection writer panicked");
-        });
-    }
-
-    /// Record a connection dropped because socket setup failed, and
-    /// log the first occurrence (one line per process, not one per
-    /// victim — fd exhaustion would otherwise spam the log).
-    pub(crate) fn note_setup_failure(&self, error: &io::Error) {
-        self.metrics.count_conn_failed();
-        static LOGGED: std::sync::Once = std::sync::Once::new();
-        LOGGED.call_once(|| {
-            eprintln!(
-                "[gpufreq-serve] dropping connection: socket setup failed: {error} \
-                 (further occurrences counted as conn_failed, not logged)"
-            );
-        });
-    }
-
-    /// Try to claim a connection slot under the cap. On success the
-    /// caller owns one decrement (performed when the connection thread
-    /// exits).
-    fn claim_connection_slot(&self) -> bool {
-        let gate = &self.active_connections;
-        let claim = |n: usize| (n < self.max_connections).then_some(n + 1);
-        // ordering: the active-connection gate is a self-contained
-        // counter — no other memory is published through it (each
-        // connection's state is created by the thread that owns it),
-        // so the RMW and the paired decrement can both be Relaxed; the
-        // fetch_update CAS alone guarantees the cap is never crossed.
-        gate.fetch_update(Ordering::Relaxed, Ordering::Relaxed, claim)
-            .is_ok()
-    }
-
-    /// Refuse a connection past the cap: count it and make a
-    /// best-effort attempt to deliver a typed `overloaded` refusal
-    /// (JSON line or HTTP 503, by listener) before dropping the
-    /// socket. The write is nonblocking so a victim's socket can never
-    /// stall the shared acceptor; the payload is far below any send
-    /// buffer, so it lands whole or the peer was unreachable anyway.
-    fn refuse_connection(&self, mut stream: TcpStream, kind: ConnKind) {
-        self.metrics.count_conn_refused();
-        let body = ErrorBody::new(
-            ErrorCode::Overloaded,
-            format!(
-                "connection cap reached ({} active); retry later",
-                self.max_connections
-            ),
-        )
-        .into_response()
-        .to_json();
-        let payload = match kind {
-            ConnKind::Line => format!("{body}\n"),
-            ConnKind::Http => crate::http::refusal_payload(&body),
-        };
-        stream.set_nonblocking(true).ok();
-        let _ = stream.write_all(payload.as_bytes());
-    }
-
-    /// Gate one accepted socket through the connection cap and spawn
-    /// its handler thread into `scope`.
-    fn dispatch<'scope, 'env>(
-        &'env self,
-        scope: &'scope Scope<'scope, 'env>,
-        stream: TcpStream,
-        peer: IpAddr,
-        kind: ConnKind,
-    ) {
-        if !self.claim_connection_slot() {
-            self.refuse_connection(stream, kind);
-            return;
-        }
-        self.metrics.count_conn_opened();
-        scope.spawn(move || {
-            match kind {
-                ConnKind::Line => self.connection(stream, Some(peer)),
-                ConnKind::Http => crate::http::serve_http_connection(self, stream, peer),
-            }
-            // ordering: see `claim_connection_slot` — a bare counter.
-            self.active_connections.fetch_sub(1, Ordering::Relaxed);
-            self.metrics.count_conn_closed();
-        });
-    }
-
-    /// Accept sockets from `listener` until shutdown, dispatching each
-    /// through the connection cap. Runs for both the JSON-lines
-    /// listener and the optional HTTP listener; both share the cap,
-    /// the worker pool, and the caches.
-    fn accept_loop<'scope, 'env>(
-        &'env self,
-        scope: &'scope Scope<'scope, 'env>,
-        listener: &TcpListener,
-        kind: ConnKind,
-    ) {
-        loop {
-            if self.is_shutting_down() {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, peer)) => self.dispatch(scope, stream, peer.ip(), kind),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // A transient accept failure must not kill the
-                    // daemon; log and keep serving.
-                    eprintln!("[gpufreq-serve] accept error: {e}");
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-            }
-        }
-    }
-
     /// Serve TCP connections on `listener` until a `shutdown` request
     /// arrives, then drain and return the final metrics snapshot.
     ///
@@ -1523,22 +1186,13 @@ impl Server {
         listener: TcpListener,
         http: Option<TcpListener>,
     ) -> io::Result<ServerStats> {
-        listener.set_nonblocking(true)?;
-        if let Some(h) = &http {
-            h.set_nonblocking(true)?;
-        }
-        std::thread::scope(|s| {
+        // Shutdown closes the queue: workers drain and exit alongside
+        // the connection threads.
+        conn::serve(self, &self.conns, listener, http, |s| {
             for _ in 0..self.workers {
                 s.spawn(|| self.worker_loop());
             }
-            if let Some(http) = &http {
-                s.spawn(move || self.accept_loop(s, http, ConnKind::Http));
-            }
-            self.accept_loop(s, &listener, ConnKind::Line);
-            // Shutdown: the queue is closed, workers drain and exit,
-            // connection threads notice the flag at their next read
-            // timeout; the scope joins them all.
-        });
+        })?;
         Ok(self.stats())
     }
 }
@@ -1615,9 +1269,12 @@ pub fn render_stats_table(stats: &ServerStats) -> String {
 mod tests {
     use super::*;
     use crate::admission::Quota;
+    use crate::conn::{ShutdownWriter, MAX_LINE_BYTES};
     use gpufreq_core::{Corpus, ModelConfig, Planner};
-    use std::net::Ipv4Addr;
+    use std::io::BufReader;
+    use std::net::{Ipv4Addr, TcpStream};
     use std::sync::OnceLock;
+    use std::time::Duration;
 
     const SAXPY: &str = "__kernel void saxpy(__global float* x, __global float* y, float a) {
         uint i = get_global_id(0);
@@ -1888,7 +1545,7 @@ mod tests {
             Request::Devices.to_json(),
             Request::Devices.to_json()
         );
-        server.pump(stream.as_bytes(), &lane, false, None);
+        server.feed_lane(stream.as_bytes(), &lane, false, None);
         assert_eq!(
             server.stats().requests.total,
             0,
@@ -1901,7 +1558,9 @@ mod tests {
         // `connection()` used to bail through `?` on try_clone /
         // set_read_timeout errors — invisible in the stats.
         let server = server(small_config());
-        server.note_setup_failure(&io::Error::other("synthetic fd-pressure failure"));
+        server
+            .conns
+            .note_setup_failure(&io::Error::other("synthetic fd-pressure failure"));
         let conns = server.stats().connections;
         assert_eq!(conns.failed, 1);
         assert_eq!(conns.opened, 0);
