@@ -627,7 +627,6 @@ fn serve(parsed: &ParsedArgs, opts: &ServeOpts<'_>, out: &mut dyn Write) -> CmdR
                     burst,
                 }),
             },
-            ..defaults
         },
     )?;
     if let Some(sink) = opts.trace_log {

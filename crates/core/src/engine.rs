@@ -30,9 +30,9 @@
 use crate::error::Result;
 use crate::planner::analyze_source;
 use gpufreq_kernel::{KernelProfile, StaticFeatures};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A deterministic parallel map over indexed work items.
 ///
@@ -179,88 +179,26 @@ impl Engine {
 /// engine's worker threads (and across planners) behind an
 /// [`Arc`].
 ///
-/// By default the cache is **unbounded** (batch runs are finite, and
-/// existing callers rely on every source staying resident). Long-lived
-/// processes — the `gpufreq-serve` daemon holds one cache for the
-/// lifetime of the server — construct it with
-/// [`with_capacity`](ProfileCache::with_capacity) instead: once the
-/// bound is reached, the least-recently-used entry is evicted
-/// (counted by [`evictions`](ProfileCache::evictions)). Eviction only
-/// drops the cache's own reference; [`Arc`]s already handed to
-/// callers stay fully usable.
+/// The cache is unbounded: its users (training, `sweep`,
+/// [`TrainedPlanner::predict_batch`](crate::TrainedPlanner::predict_batch))
+/// are finite runs. A long-lived process analyzes with
+/// [`analyze_source`] directly instead of holding one of these.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
-    inner: Mutex<CacheInner>,
-    /// `None` = unbounded (the default).
-    capacity: Option<usize>,
+    entries: Mutex<HashMap<String, Arc<(StaticFeatures, KernelProfile)>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    evictions: AtomicUsize,
-}
-
-/// Map + recency index under one lock, so eviction decisions are
-/// consistent with lookups. Keys are shared `Arc<str>`s: the recency
-/// index holds clones of the map's keys, not second copies of the
-/// (kilobytes-long) source text, and bumping recency on a hit clones
-/// a pointer, not the source.
-#[derive(Debug, Default)]
-struct CacheInner {
-    entries: HashMap<Arc<str>, CacheSlot>,
-    /// Recency index: strictly increasing tick → source key. The
-    /// smallest tick is the least-recently-used entry. Only
-    /// maintained for bounded caches — the default unbounded cache
-    /// never consults it, so its hit path stays a single map lookup.
-    recency: BTreeMap<u64, Arc<str>>,
-    tick: u64,
-}
-
-#[derive(Debug)]
-struct CacheSlot {
-    analyzed: Arc<(StaticFeatures, KernelProfile)>,
-    /// The map key, shared with the recency index.
-    key: Arc<str>,
-    /// This entry's current position in the recency index.
-    tick: u64,
-}
-
-impl CacheInner {
-    /// Mark `key` as most recently used, keeping `recency` in sync.
-    /// Bounded caches only — unbounded ones skip recency entirely.
-    fn touch(&mut self, key: &str) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(slot) = self.entries.get_mut(key) {
-            self.recency.remove(&slot.tick);
-            slot.tick = tick;
-            self.recency.insert(tick, Arc::clone(&slot.key));
-        }
-    }
 }
 
 impl ProfileCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> ProfileCache {
         ProfileCache::default()
     }
 
-    /// An empty cache bounded to at most `capacity` entries, evicting
-    /// least-recently-used sources beyond that. A capacity of `0` is
-    /// treated as `1` (the entry just analyzed is always insertable).
-    pub fn with_capacity(capacity: usize) -> ProfileCache {
-        ProfileCache {
-            capacity: Some(capacity.max(1)),
-            ..ProfileCache::default()
-        }
-    }
-
-    /// An empty, unbounded cache ready for sharing.
+    /// An empty cache ready for sharing.
     pub fn shared() -> Arc<ProfileCache> {
         Arc::new(ProfileCache::new())
-    }
-
-    /// The configured entry bound (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Analyze `source` (see [`analyze_source`]), returning the cached
@@ -269,63 +207,33 @@ impl ProfileCache {
     /// # Errors
     /// Exactly those of [`analyze_source`]; errors are never cached.
     pub fn analyze(&self, source: &str) -> Result<Arc<(StaticFeatures, KernelProfile)>> {
-        {
-            let mut inner = self.inner.lock().expect("cache poisoned");
-            if let Some(slot) = inner.entries.get(source) {
-                let hit = Arc::clone(&slot.analyzed);
-                // ordering: hit/miss/eviction counters are telemetry;
-                // cached entries are published by the cache mutex,
-                // never by these counters (all sites in this file).
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                // Only bounded caches pay for recency bookkeeping;
-                // the (default) unbounded hit path is one lookup.
-                if self.capacity.is_some() {
-                    inner.touch(source);
-                }
-                return Ok(hit);
-            }
+        if let Some(hit) = self.lock().get(source) {
+            // ordering: hit/miss counters are telemetry; cached
+            // entries are published by the cache mutex, never by these
+            // counters (all sites in this file).
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(hit));
         }
         // ordering: telemetry (see the counter note in the hit path).
         self.misses.fetch_add(1, Ordering::Relaxed);
         // Analyze outside the lock: parsing is the expensive part and
         // other sources should not serialize behind it. Two threads
-        // racing on the same new source both analyze, then agree.
+        // racing on the same new source both analyze, then agree on
+        // the first insertion.
         let analyzed = Arc::new(analyze_source(source, None)?);
-        let mut inner = self.inner.lock().expect("cache poisoned");
-        let result = match inner.entries.get(source) {
-            // The race lost: keep the first insertion.
-            Some(slot) => Arc::clone(&slot.analyzed),
-            None => {
-                let key: Arc<str> = Arc::from(source);
-                inner.entries.insert(
-                    Arc::clone(&key),
-                    CacheSlot {
-                        analyzed: Arc::clone(&analyzed),
-                        key,
-                        tick: 0, // fixed by touch() for bounded caches
-                    },
-                );
-                analyzed
-            }
-        };
-        if let Some(capacity) = self.capacity {
-            inner.touch(source);
-            while inner.entries.len() > capacity {
-                let Some((_, lru_key)) = inner.recency.pop_first() else {
-                    break;
-                };
-                inner.entries.remove(lru_key.as_ref());
-                // ordering: telemetry (see the hit-path note).
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(result)
+        Ok(Arc::clone(
+            self.lock().entry(source.to_string()).or_insert(analyzed),
+        ))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<(StaticFeatures, KernelProfile)>>> {
+        self.entries.lock().expect("cache poisoned")
     }
 
     /// Number of calls answered from the cache so far.
     pub fn hits(&self) -> usize {
         // ordering: telemetry read; nothing synchronizes on the
-        // counters (here and in the two reads below).
+        // counters (here and in `misses`).
         self.hits.load(Ordering::Relaxed)
     }
 
@@ -336,17 +244,9 @@ impl ProfileCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of least-recently-used entries evicted to keep the cache
-    /// within [`with_capacity`](ProfileCache::with_capacity). Always 0
-    /// for the default unbounded cache.
-    pub fn evictions(&self) -> usize {
-        // ordering: telemetry read (see `hits`).
-        self.evictions.load(Ordering::Relaxed)
-    }
-
     /// Number of distinct sources currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache poisoned").entries.len()
+        self.lock().len()
     }
 
     /// Whether the cache holds no entries yet.
@@ -438,54 +338,20 @@ mod tests {
     }
 
     #[test]
-    fn bounded_cache_evicts_least_recently_used() {
-        let cache = ProfileCache::with_capacity(2);
-        assert_eq!(cache.capacity(), Some(2));
-        let k0 = numbered_kernel(0);
-        let k1 = numbered_kernel(1);
-        let k2 = numbered_kernel(2);
-        cache.analyze(&k0).unwrap();
-        cache.analyze(&k1).unwrap();
-        // Touch k0 so k1 becomes the LRU entry...
-        cache.analyze(&k0).unwrap();
-        // ...then overflow: k1 is evicted, k0 survives.
-        cache.analyze(&k2).unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        let hits_before = cache.hits();
-        cache.analyze(&k0).unwrap();
-        assert_eq!(cache.hits(), hits_before + 1, "k0 was retained");
-        cache.analyze(&k1).unwrap();
-        assert_eq!(cache.misses(), 4, "k1 was evicted and re-analyzed");
-        assert_eq!(cache.evictions(), 2, "re-inserting k1 evicted again");
-    }
-
-    #[test]
-    fn eviction_keeps_in_flight_arcs_alive() {
-        let cache = ProfileCache::with_capacity(1);
-        let k0 = numbered_kernel(0);
-        let held = cache.analyze(&k0).unwrap();
-        // Evict k0 by inserting another source.
-        cache.analyze(&numbered_kernel(1)).unwrap();
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.evictions(), 1);
-        // The evicted entry's Arc is still fully usable.
-        assert_eq!(held.1.name, "k0");
-        // And re-analyzing k0 is a miss producing an equal result.
-        let again = cache.analyze(&k0).unwrap();
-        assert!(!Arc::ptr_eq(&held, &again));
-        assert_eq!(held.0, again.0);
-    }
-
-    #[test]
     fn default_cache_is_unbounded() {
         let cache = ProfileCache::new();
-        assert_eq!(cache.capacity(), None);
         for i in 0..64 {
             cache.analyze(&numbered_kernel(i)).unwrap();
         }
         assert_eq!(cache.len(), 64);
-        assert_eq!(cache.evictions(), 0);
+        for i in 0..64 {
+            cache.analyze(&numbered_kernel(i)).unwrap();
+        }
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (64, 64),
+            "every source stayed resident"
+        );
     }
 
     #[test]

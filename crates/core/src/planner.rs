@@ -265,14 +265,6 @@ impl TrainedPlanner {
         self
     }
 
-    /// Share `cache` with this planner (and with whoever else holds
-    /// it): kernels already analyzed — by another planner, the CLI, or
-    /// a previous batch — are never re-analyzed.
-    pub fn with_cache(mut self, cache: Arc<ProfileCache>) -> TrainedPlanner {
-        self.cache = cache;
-        self
-    }
-
     /// The kernel-analysis cache backing [`predict_source`] and
     /// [`predict_batch`]; clone the [`Arc`] to share it.
     ///

@@ -52,5 +52,5 @@ pub use ir::{
     InstructionCounts, KernelAnalysis,
 };
 pub use lexer::{lex, LexError};
-pub use parser::{parse, ParseError};
+pub use parser::{parse, ParseError, MAX_NESTING};
 pub use profile::{KernelProfile, LaunchConfig};

@@ -5,6 +5,10 @@
 //! parameters, declarations, assignments (plain, compound, `++`/`--`),
 //! `if`/`for`/`while`/`do`, and a conventional C expression grammar with
 //! precedence climbing.
+//!
+//! Nesting is bounded: past [`MAX_NESTING`] levels the parser answers
+//! with a [`ParseError`] instead of recursing further, so no input can
+//! overflow the stack of the thread parsing it.
 
 use crate::ast::*;
 use crate::lexer::{lex, Keyword, LexError, Op, Span, Token, TokenKind};
@@ -40,10 +44,22 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// Deepest nesting [`parse`] accepts. One level is one statement
+/// inside another (a `{` block, an `if`/loop body), one parenthesized,
+/// indexed or call-argument expression, one prefix operator or cast,
+/// one more operator in a binary chain, or one more `[..]` in an index
+/// chain. Every walk over the AST (lowering, analysis, drop) recurses
+/// at most this deep, whatever the source.
+pub const MAX_NESTING: usize = 128;
+
 /// Parse a full translation unit (one or more kernels).
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut kernels = Vec::new();
     while !p.at_eof() {
         kernels.push(p.kernel_fn()?);
@@ -60,6 +76,8 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting level, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
@@ -76,12 +94,10 @@ impl Parser {
     fn at_eof(&self) -> bool {
         matches!(self.peek(), TokenKind::Eof)
     }
-    fn bump(&mut self) -> TokenKind {
-        let t = self.tokens[self.pos].kind.clone();
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
     fn eat_op(&mut self, op: Op) -> bool {
         if *self.peek() == TokenKind::Op(op) {
@@ -95,7 +111,7 @@ impl Parser {
         if self.eat_op(op) {
             Ok(())
         } else {
-            Err(self.err(format!("expected {:?}, found {:?}", op, self.peek())))
+            Err(self.err(format_args!("expected {:?}, found {:?}", op, self.peek())))
         }
     }
     fn eat_kw(&mut self, kw: Keyword) -> bool {
@@ -110,7 +126,7 @@ impl Parser {
         if self.eat_kw(kw) {
             Ok(())
         } else {
-            Err(self.err(format!(
+            Err(self.err(format_args!(
                 "expected keyword {:?}, found {:?}",
                 kw,
                 self.peek()
@@ -123,12 +139,38 @@ impl Parser {
                 self.bump();
                 Ok(s)
             }
-            other => Err(self.err(format!("expected identifier, found {other:?}"))),
+            other => Err(self.err(format_args!("expected identifier, found {other:?}"))),
         }
     }
-    fn err(&self, message: String) -> ParseError {
+    /// Go one nesting level deeper, or fail past [`MAX_NESTING`]. The
+    /// caller restores `depth` when it leaves the level.
+    fn deepen(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format_args!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.deepen()?;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// An error at the current token. Kept out of line (and the message
+    /// unformatted until here) so the recursive parse functions keep
+    /// small stack frames.
+    #[cold]
+    #[inline(never)]
+    fn err(&self, message: fmt::Arguments<'_>) -> ParseError {
         ParseError {
-            message,
+            message: message.to_string(),
             span: self.span(),
         }
     }
@@ -214,7 +256,7 @@ impl Parser {
             TokenKind::Kw(Keyword::Ulong) => Scalar::Ulong,
             TokenKind::Kw(Keyword::Float) => Scalar::Float,
             TokenKind::Kw(Keyword::Bool) => Scalar::Bool,
-            other => return Err(self.err(format!("expected type, found {other:?}"))),
+            other => return Err(self.err(format_args!("expected type, found {other:?}"))),
         };
         self.bump();
         Ok(s)
@@ -243,7 +285,7 @@ impl Parser {
         let mut out = Vec::new();
         while !self.eat_op(Op::RBrace) {
             if self.at_eof() {
-                return Err(self.err("unexpected end of input inside block".into()));
+                return Err(self.err(format_args!("unexpected end of input inside block")));
             }
             out.push(self.stmt()?);
         }
@@ -251,6 +293,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Parser::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> Result<Stmt, ParseError> {
         let span = self.span();
         match self.peek().clone() {
             TokenKind::Op(Op::LBrace) => {
@@ -314,12 +360,15 @@ impl Parser {
         let name = self.expect_ident()?;
         // Fixed-size array declaration (e.g. `__local float tile[256];`).
         if self.eat_op(Op::LBracket) {
-            let len = match self.bump() {
+            let len = match *self.peek() {
                 TokenKind::IntLit(v, _) if v > 0 => v as u64,
-                other => {
-                    return Err(self.err(format!("expected array length literal, found {other:?}")))
+                ref other => {
+                    return Err(self.err(format_args!(
+                        "expected array length literal, found {other:?}"
+                    )))
                 }
             };
+            self.bump();
             self.expect_op(Op::RBracket)?;
             let ty = Type {
                 scalar,
@@ -392,7 +441,7 @@ impl Parser {
             let target = match e {
                 Expr::Var(name) => LValue::Var(name),
                 Expr::Index { base, index } => LValue::Index { base, index },
-                other => return Err(self.err(format!("invalid assignment target: {other:?}"))),
+                other => return Err(self.err(format_args!("invalid assignment target: {other:?}"))),
             };
             let value = self.expr()?;
             return Ok(Stmt::Assign {
@@ -518,7 +567,7 @@ impl Parser {
     // ---- expressions (precedence climbing) ------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.ternary()
+        self.nested(Parser::ternary)
     }
 
     fn ternary(&mut self) -> Result<Expr, ParseError> {
@@ -564,38 +613,40 @@ impl Parser {
 
     fn binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.unary()?;
+        let outer = self.depth;
         while let Some((op, prec)) = Self::bin_op_prec(self.peek()) {
             if prec < min_prec {
                 break;
             }
             self.bump();
+            // The loop builds a left-leaning tree: each operator nests
+            // the chain so far one level deeper.
+            self.deepen()?;
             let rhs = self.binary(prec + 1)?;
             lhs = Expr::binary(op, lhs, rhs);
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
-        if self.eat_op(Op::Minus) {
+        let op = if self.eat_op(Op::Minus) {
+            Some(UnOp::Neg)
+        } else if self.eat_op(Op::Bang) {
+            Some(UnOp::Not)
+        } else if self.eat_op(Op::Tilde) {
+            Some(UnOp::BitNot)
+        } else {
+            None
+        };
+        if let Some(op) = op {
             return Ok(Expr::Unary {
-                op: UnOp::Neg,
-                expr: Box::new(self.unary()?),
-            });
-        }
-        if self.eat_op(Op::Bang) {
-            return Ok(Expr::Unary {
-                op: UnOp::Not,
-                expr: Box::new(self.unary()?),
-            });
-        }
-        if self.eat_op(Op::Tilde) {
-            return Ok(Expr::Unary {
-                op: UnOp::BitNot,
-                expr: Box::new(self.unary()?),
+                op,
+                expr: Box::new(self.nested(Parser::unary)?),
             });
         }
         if self.eat_op(Op::Plus) {
-            return self.unary();
+            return self.nested(Parser::unary);
         }
         // Cast: `(type) expr` — look ahead for `(` followed by a type
         // keyword followed by `)`.
@@ -608,7 +659,7 @@ impl Parser {
                     self.bump(); // (
                     let ty = self.scalar_type()?;
                     self.bump(); // )
-                    let e = self.unary()?;
+                    let e = self.nested(Parser::unary)?;
                     return Ok(Expr::Cast {
                         ty,
                         expr: Box::new(e),
@@ -621,23 +672,24 @@ impl Parser {
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
         let mut e = self.primary()?;
-        loop {
-            if self.eat_op(Op::LBracket) {
-                let idx = self.expr()?;
-                self.expect_op(Op::RBracket)?;
-                e = Expr::Index {
-                    base: Box::new(e),
-                    index: Box::new(idx),
-                };
-            } else {
-                break;
-            }
+        let outer = self.depth;
+        while self.eat_op(Op::LBracket) {
+            // Like a binary chain, each index nests the base one level;
+            // the index expression sits on that same level.
+            self.deepen()?;
+            let idx = self.ternary()?;
+            self.expect_op(Op::RBracket)?;
+            e = Expr::Index {
+                base: Box::new(e),
+                index: Box::new(idx),
+            };
         }
+        self.depth = outer;
         Ok(e)
     }
 
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
+        match *self.peek() {
             TokenKind::IntLit(v, _) => {
                 self.bump();
                 Ok(Expr::IntLit(v))
@@ -654,7 +706,8 @@ impl Parser {
                 self.bump();
                 Ok(Expr::BoolLit(false))
             }
-            TokenKind::Ident(name) => {
+            TokenKind::Ident(ref name) => {
+                let name = name.clone();
                 self.bump();
                 if self.eat_op(Op::LParen) {
                     let mut args = Vec::new();
@@ -678,7 +731,7 @@ impl Parser {
                 self.expect_op(Op::RParen)?;
                 Ok(e)
             }
-            other => Err(self.err(format!("expected expression, found {other:?}"))),
+            ref other => Err(self.err(format_args!("expected expression, found {other:?}"))),
         }
     }
 }

@@ -13,8 +13,14 @@
 //!
 //! Successful parses are pushed on through [`analyze_kernel`] so the
 //! loop-bound and addressing analyses get fuzzed too.
+//!
+//! A third generator nests one construct (`(`, `{`, `[`, prefix
+//! operators, casts, operator and index chains, `?:`, `if`) far past
+//! [`MAX_NESTING`]. Those inputs run on a thread with a 256 KiB stack
+//! and must come back as a typed nesting error: a stack overflow
+//! aborts the whole test binary.
 
-use gpufreq_kernel::{analyze_kernel, lex, parse};
+use gpufreq_kernel::{analyze_kernel, lex, parse, MAX_NESTING};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -95,6 +101,46 @@ fn mutate(src: &str, op: u8, pos: usize, byte: u8) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// Names of the nestable shapes [`deep_kernel`] builds.
+const DEEP_SHAPES: [&str; 10] = [
+    "paren", "brace", "bracket", "not", "neg", "cast", "ternary", "sum", "index", "if",
+];
+
+/// A kernel whose one statement nests `DEEP_SHAPES[shape]` `n` times.
+fn deep_kernel(shape: usize, n: usize) -> String {
+    let stmt = match DEEP_SHAPES[shape] {
+        "paren" => format!("x[i] = {}1.0f{};", "(".repeat(n), ")".repeat(n)),
+        "brace" => format!("{}{}", "{".repeat(n), "}".repeat(n)),
+        "bracket" => format!("x[i] = {}0{};", "x[".repeat(n), "]".repeat(n)),
+        "not" => format!("x[i] = {}1;", "!".repeat(n)),
+        "neg" => format!("x[i] = {}1.0f;", "- ".repeat(n)),
+        "cast" => format!("x[i] = {}1;", "(int)".repeat(n)),
+        "ternary" => format!("x[i] = {}2.0f;", "i ? 1.0f : ".repeat(n)),
+        "sum" => format!("x[i] = 1.0f{};", " + 1.0f".repeat(n)),
+        "index" => format!("x[i] = x{};", "[0]".repeat(n)),
+        "if" => format!("{}x[i] = 1.0f;", "if (i) ".repeat(n)),
+        other => unreachable!("unknown shape {other}"),
+    };
+    format!("__kernel void deep(__global float* x) {{\n    uint i = get_global_id(0);\n    {stmt}\n}}\n")
+}
+
+/// Run `f` on a thread with a 256 KiB stack, far below the 2 MiB a
+/// spawned thread gets by default. Overflowing it aborts the process.
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(f)
+        .expect("spawn a small-stack thread")
+        .join()
+        .expect("small-stack thread panicked")
+}
+
+/// Parse `src` on a small stack and require the typed nesting error.
+fn assert_nesting_error(src: String) {
+    let err = on_small_stack(move || parse(&src).map(|_| ()).unwrap_err());
+    assert!(err.message.contains("nesting deeper than"), "{err}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -131,6 +177,55 @@ proptest! {
             src = mutate(&src, op, pos, byte);
         }
         front_end_must_not_panic(&src);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any shape nested anywhere past the limit is a typed error on a
+    /// small stack, never an abort.
+    #[test]
+    fn deep_nesting_is_a_typed_error(
+        shape in 0usize..DEEP_SHAPES.len(),
+        n in (MAX_NESTING + 1)..200_000usize,
+    ) {
+        assert_nesting_error(deep_kernel(shape, n));
+    }
+}
+
+/// The inputs that used to abort `gpufreq inspect` with a stack
+/// overflow now get the typed error, even on a small stack.
+#[test]
+fn former_stack_overflows_are_typed_errors() {
+    let shape = |name| DEEP_SHAPES.iter().position(|s| *s == name).unwrap();
+    assert_nesting_error(deep_kernel(shape("paren"), 20_000));
+    assert_nesting_error(deep_kernel(shape("not"), 200_000));
+    assert_nesting_error(deep_kernel(shape("brace"), 50_000));
+    assert_nesting_error(deep_kernel(shape("bracket"), 20_000));
+}
+
+/// The limit is tight but not stricter than stated: every shape nests
+/// to within a few levels of [`MAX_NESTING`], and the deepest accepted
+/// kernel goes through the whole front end (parse, analysis, drop) on
+/// the same small stack.
+#[test]
+fn deepest_accepted_kernels_analyze_on_a_small_stack() {
+    for (shape, name) in DEEP_SHAPES.iter().enumerate() {
+        let deepest = (0..=MAX_NESTING)
+            .rev()
+            .find(|&n| parse(&deep_kernel(shape, n)).is_ok())
+            .unwrap_or_else(|| panic!("{name}: no depth parses"));
+        assert!(
+            (MAX_NESTING - 4..=MAX_NESTING).contains(&deepest),
+            "{name}: {deepest} levels"
+        );
+        assert_nesting_error(deep_kernel(shape, deepest + 1));
+        let src = deep_kernel(shape, deepest);
+        on_small_stack(move || {
+            let program = parse(&src).expect("parses");
+            analyze_kernel(&program.kernels[0]).expect("analyzes");
+        });
     }
 }
 

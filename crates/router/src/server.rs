@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gpufreq_obs::spans::quantile_from_counts;
 use gpufreq_obs::{trace, Exposition, Histogram, SpanRecorder, StageSet, TraceLog};
 use gpufreq_serve::conn::{self, error_code_of, Connections, LineWriter};
 use gpufreq_serve::http::Gateway;
@@ -517,11 +518,11 @@ impl Router {
         Response::Devices { devices }.to_json()
     }
 
-    /// Aggregate `stats`: sum the reachable backends' snapshots
-    /// (percentiles take the max — a sum of quantiles means nothing)
-    /// and append the router's own section to the response object.
+    /// Aggregate `stats`: merge the reachable backends' snapshots
+    /// ([`add_stats`]) and append the router's own section to the
+    /// response object.
     fn stats_body(&self) -> String {
-        let mut total = zero_stats();
+        let mut total = ServerStats::default();
         for backend in &self.backends {
             if let Ok(response) = backend.call(&Request::Stats.to_json()) {
                 if let Ok(Response::Stats { stats }) = Response::parse(&response) {
@@ -787,66 +788,10 @@ fn discover(
     }
 }
 
-/// An all-zero [`ServerStats`] to accumulate backend snapshots into.
-fn zero_stats() -> ServerStats {
-    ServerStats {
-        requests: gpufreq_serve::protocol::RequestCounts {
-            total: 0,
-            predict: 0,
-            predict_batch: 0,
-            batch_kernels: 0,
-            devices: 0,
-            stats: 0,
-            metrics: 0,
-            shutdown: 0,
-            errors: 0,
-            rejected: 0,
-            reload: 0,
-            rejected_p99: 0,
-            rejected_quota: 0,
-        },
-        front_cache: zero_cache(),
-        analysis_cache: zero_cache(),
-        queue: gpufreq_serve::protocol::QueueStats {
-            depth: 0,
-            capacity: 0,
-        },
-        workers: 0,
-        latency_us: gpufreq_serve::protocol::LatencyStats {
-            count: 0,
-            p50: 0,
-            p95: 0,
-            p99: 0,
-            max: 0,
-        },
-        connections: gpufreq_serve::protocol::ConnectionStats {
-            opened: 0,
-            closed: 0,
-            refused: 0,
-            failed: 0,
-            active: 0,
-        },
-        server: gpufreq_serve::protocol::ServerInfo {
-            uptime_s: 0,
-            build: String::new(),
-            slots: Vec::new(),
-        },
-    }
-}
-
-fn zero_cache() -> gpufreq_serve::protocol::CacheStats {
-    gpufreq_serve::protocol::CacheStats {
-        hits: 0,
-        misses: 0,
-        evictions: 0,
-        len: 0,
-        capacity: 0,
-    }
-}
-
-/// Accumulate one backend's stats: counters and gauges sum;
-/// latency percentiles take the max (a sum of quantiles would be
-/// meaningless across independent daemons).
+/// Accumulate one backend's stats: counters and gauges sum; latency
+/// buckets sum and the percentiles are read from the merged counts
+/// (the cluster's distribution, not a max of per-backend quantiles);
+/// the latency max takes the max.
 fn add_stats(total: &mut ServerStats, stats: &ServerStats) {
     let r = (&mut total.requests, &stats.requests);
     r.0.total += r.1.total;
@@ -862,24 +807,27 @@ fn add_stats(total: &mut ServerStats, stats: &ServerStats) {
     r.0.reload += r.1.reload;
     r.0.rejected_p99 += r.1.rejected_p99;
     r.0.rejected_quota += r.1.rejected_quota;
-    for (t, s) in [
-        (&mut total.front_cache, &stats.front_cache),
-        (&mut total.analysis_cache, &stats.analysis_cache),
-    ] {
-        t.hits += s.hits;
-        t.misses += s.misses;
-        t.evictions += s.evictions;
-        t.len += s.len;
-        t.capacity += s.capacity;
-    }
+    let (t, s) = (&mut total.front_cache, &stats.front_cache);
+    t.hits += s.hits;
+    t.misses += s.misses;
+    t.evictions += s.evictions;
+    t.len += s.len;
+    t.capacity += s.capacity;
     total.queue.depth += stats.queue.depth;
     total.queue.capacity += stats.queue.capacity;
     total.workers += stats.workers;
-    total.latency_us.count += stats.latency_us.count;
-    total.latency_us.p50 = total.latency_us.p50.max(stats.latency_us.p50);
-    total.latency_us.p95 = total.latency_us.p95.max(stats.latency_us.p95);
-    total.latency_us.p99 = total.latency_us.p99.max(stats.latency_us.p99);
-    total.latency_us.max = total.latency_us.max.max(stats.latency_us.max);
+    let (t, s) = (&mut total.latency_us, &stats.latency_us);
+    t.count += s.count;
+    if t.buckets.len() < s.buckets.len() {
+        t.buckets.resize(s.buckets.len(), 0);
+    }
+    for (sum, n) in t.buckets.iter_mut().zip(&s.buckets) {
+        *sum += n;
+    }
+    t.p50 = quantile_from_counts(&t.buckets, 0.50);
+    t.p95 = quantile_from_counts(&t.buckets, 0.95);
+    t.p99 = quantile_from_counts(&t.buckets, 0.99);
+    t.max = t.max.max(s.max);
     total.connections.opened += stats.connections.opened;
     total.connections.closed += stats.connections.closed;
     total.connections.refused += stats.connections.refused;
@@ -980,5 +928,50 @@ mod tests {
         let second = router.handle_line(line);
         assert!(second.contains("\"code\":\"overloaded\""), "{second}");
         assert_eq!(router.snapshot().counters.broken_circuit, 2);
+    }
+
+    /// One backend's `stats` snapshot with `n` requests at each given
+    /// latency (µs).
+    fn backend_stats(latencies: &[(u64, u64)]) -> ServerStats {
+        let h = Histogram::new();
+        for &(us, n) in latencies {
+            for _ in 0..n {
+                h.observe_us(us);
+            }
+        }
+        let snap = h.snapshot();
+        ServerStats {
+            latency_us: gpufreq_serve::protocol::LatencyStats {
+                count: snap.count,
+                p50: snap.quantile_us(0.50),
+                p95: snap.quantile_us(0.95),
+                p99: snap.quantile_us(0.99),
+                max: snap.max_us,
+                buckets: snap.buckets,
+            },
+            ..ServerStats::default()
+        }
+    }
+
+    #[test]
+    fn merged_latency_quantiles_come_from_summed_buckets() {
+        // A busy fast backend (90 requests at 10µs) and a quiet slow
+        // one (10 at 1500µs). The cluster's median is fast; a max of
+        // the per-backend medians would report the slow one's.
+        let fast = backend_stats(&[(10, 90)]);
+        let slow = backend_stats(&[(1500, 10)]);
+        assert_eq!((fast.latency_us.p50, slow.latency_us.p50), (15, 2047));
+        let mut total = ServerStats::default();
+        add_stats(&mut total, &fast);
+        add_stats(&mut total, &slow);
+        let merged = backend_stats(&[(10, 90), (1500, 10)]).latency_us;
+        let t = &total.latency_us;
+        assert_eq!(t.p50, 15, "median of the merged counts, not the max");
+        assert_eq!((t.p95, t.p99), (2047, 2047));
+        assert_eq!((t.count, t.max), (100, 1500));
+        assert_eq!(
+            *t, merged,
+            "merging equals observing everything in one daemon"
+        );
     }
 }

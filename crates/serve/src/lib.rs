@@ -17,10 +17,12 @@
 //!   ([`cache::FrontCache`]) keyed by `(device, source-hash)`, so a
 //!   repeated kernel skips parsing, analysis *and* the
 //!   full-configuration SVR scan and replays byte-identical response
-//!   bytes;
-//! * **metrics** ([`metrics::Metrics`]): request counters, cache hit
-//!   rates, queue depth, and a latency histogram with p50/p95/p99,
-//!   surfaced by the `stats` request and the final shutdown summary;
+//!   bytes. It is the daemon's one cache: a miss parses and analyzes
+//!   the source afresh, and no analysis is kept between requests;
+//! * **metrics** ([`metrics::Metrics`]): request counters, the
+//!   front-cache hit rate, queue depth, and a latency histogram with
+//!   p50/p95/p99 and its bucket counts, surfaced by the `stats` request
+//!   and the final shutdown summary;
 //! * **deterministic responses**: the same request stream produces
 //!   byte-identical response bodies at any worker count (see
 //!   [`server`]'s module docs; pinned by `tests/determinism.rs`);

@@ -153,7 +153,7 @@ impl Metrics {
     }
 
     /// The latency-histogram snapshot (p50/p95/p99 as bucket upper
-    /// bounds, max exact).
+    /// bounds, max exact, plus the bucket counts they were read from).
     pub fn latency(&self) -> LatencyStats {
         let snap = self.latency.snapshot();
         LatencyStats {
@@ -162,6 +162,7 @@ impl Metrics {
             p95: snap.quantile_us(0.95),
             p99: snap.quantile_us(0.99),
             max: snap.max_us,
+            buckets: snap.buckets,
         }
     }
 }

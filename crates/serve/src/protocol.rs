@@ -514,14 +514,13 @@ impl fmt::Display for ErrorBody {
 /// Snapshot of the server's aggregate metrics
 /// ([`Response::Stats`]). Every field is monotonically increasing
 /// except the gauges (`queue.depth`, cache `len`s).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerStats {
     /// Request counters by kind.
     pub requests: RequestCounts,
-    /// The response front cache keyed by `(device, source-hash)`.
+    /// The response front cache keyed by `(device, source-hash)`, the
+    /// daemon's one cache.
     pub front_cache: CacheStats,
-    /// The shared kernel-analysis cache underneath the planners.
-    pub analysis_cache: CacheStats,
     /// The bounded request queue feeding the worker pool.
     pub queue: QueueStats,
     /// Number of worker threads.
@@ -540,7 +539,7 @@ pub struct ServerStats {
 /// `/healthz` so an operator can tell at a glance which build is
 /// running, for how long, and which artifact version each device slot
 /// is serving.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServerInfo {
     /// Whole seconds since the server started (monotonic clock).
     pub uptime_s: u64,
@@ -563,7 +562,7 @@ pub struct SlotInfo {
 }
 
 /// Request counters by kind; `total` counts every protocol line seen.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RequestCounts {
     /// Every request line received (including malformed ones).
     pub total: u64,
@@ -599,7 +598,7 @@ pub struct RequestCounts {
 
 /// Hit/miss/eviction counters plus the current-size gauge of one
 /// bounded cache.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -609,14 +608,14 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub len: usize,
-    /// Maximum entries (`0` = this cache is disabled or unbounded —
-    /// see `gpufreq_serve::ServerConfig`).
+    /// Maximum entries (`0` = this cache is disabled — see
+    /// `gpufreq_serve::ServerConfig::cache_capacity`).
     pub capacity: usize,
 }
 
 /// Connection lifecycle counters across both listeners. `active` is a
 /// gauge (`opened - closed`); everything else is monotonic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ConnectionStats {
     /// Connections accepted and handed to a connection thread.
     pub opened: u64,
@@ -633,7 +632,7 @@ pub struct ConnectionStats {
 }
 
 /// Depth/capacity of the bounded request queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QueueStats {
     /// Jobs currently waiting for a worker.
     pub depth: usize,
@@ -644,8 +643,10 @@ pub struct QueueStats {
 
 /// Latency histogram summary. Quantiles are upper bounds of
 /// power-of-two buckets (see `gpufreq_serve::metrics`), so they are
-/// conservative approximations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// conservative approximations. The bucket counts travel along, so a
+/// router can merge several daemons' histograms and read the cluster's
+/// quantiles from the sum.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencyStats {
     /// Observations recorded.
     pub count: u64,
@@ -657,4 +658,8 @@ pub struct LatencyStats {
     pub p99: u64,
     /// Largest single observation (µs, exact).
     pub max: u64,
+    /// Per-bucket observation counts in the `gpufreq_obs::spans`
+    /// layout: bucket `i` counts `[2^i, 2^(i+1))` µs, bucket 0 also
+    /// takes sub-µs requests, and the last bucket is open-ended.
+    pub buckets: Vec<u64>,
 }

@@ -41,7 +41,7 @@ use crate::protocol::{
 };
 use crate::queue::{BoundedQueue, PushError, ResponseLane, Slot};
 use crate::reload::PlannerSlot;
-use gpufreq_core::{ascii_table, ProfileCache, TrainedPlanner};
+use gpufreq_core::{analyze_source, ascii_table, ParetoPrediction, TrainedPlanner};
 use gpufreq_obs::{trace, Exposition, SpanRecorder, StageSet, TraceLog};
 use gpufreq_sim::Device;
 use std::io::{self, BufRead, Write};
@@ -78,6 +78,22 @@ fn attach_trace(body: String, trace_id: Option<&str>) -> String {
     }
 }
 
+/// [`TrainedPlanner::predict_source`] without the planner's analysis
+/// cache: the daemon keeps no analyses, so every call parses and
+/// analyzes `source` afresh. Results and errors are exactly those of
+/// `predict_source`.
+fn predict_uncached(
+    planner: &TrainedPlanner,
+    source: &str,
+) -> gpufreq_core::Result<ParetoPrediction> {
+    let (features, _) = analyze_source(source, None)?;
+    planner.predict(&features)
+}
+
+/// Shards of the response front cache (more shards, less lock
+/// contention).
+const FRONT_CACHE_SHARDS: usize = 16;
+
 /// Sizing knobs for a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
@@ -89,11 +105,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Total entries of the response front cache (0 disables it).
     pub cache_capacity: usize,
-    /// Shards of the front cache (more shards, less lock contention).
-    pub cache_shards: usize,
-    /// Entry bound of the shared kernel-analysis cache (0 =
-    /// unbounded).
-    pub analysis_cache_capacity: usize,
     /// Concurrent-connection cap across both listeners (minimum 1).
     /// Connections past the bound receive a typed `overloaded`
     /// refusal and are closed instead of spawning an unbounded thread.
@@ -105,15 +116,12 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     /// All cores (capped at 8) workers, a 256-deep queue, a 4096-entry
-    /// front cache over 16 shards, a 1024-entry analysis cache, a
-    /// 256-connection cap, admission gates off.
+    /// front cache, a 256-connection cap, admission gates off.
     fn default() -> ServerConfig {
         ServerConfig {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get().min(8)),
             queue_capacity: 256,
             cache_capacity: 4096,
-            cache_shards: 16,
-            analysis_cache_capacity: 1024,
             max_connections: 256,
             admission: AdmissionConfig::default(),
         }
@@ -164,15 +172,15 @@ struct Job {
 /// Construction takes already-trained planners (train them with
 /// [`Planner::builder`](gpufreq_core::Planner::builder) or load
 /// persisted artifacts); the server pins each planner's engine serial
-/// — parallelism comes from the worker pool, one request per worker —
-/// and re-homes them onto one shared, bounded analysis cache. Each
-/// planner lives in a hot-swappable [`PlannerSlot`], so a `reload`
+/// — parallelism comes from the worker pool, one request per worker.
+/// The response front cache is the daemon's one cache tier: a miss
+/// parses and analyzes the source afresh, and no analysis is kept.
+/// Each planner lives in a hot-swappable [`PlannerSlot`], so a `reload`
 /// request can replace one device's model from a saved artifact
 /// without dropping a single connection.
 #[derive(Debug)]
 pub struct Server {
     planners: Vec<(Device, PlannerSlot)>,
-    analysis_cache: Arc<ProfileCache>,
     front: FrontCache,
     metrics: Metrics,
     queue: BoundedQueue<Job>,
@@ -196,30 +204,17 @@ impl Server {
         if planners.is_empty() {
             return Err(ServeError::NoPlanners);
         }
-        let analysis_cache = Arc::new(if config.analysis_cache_capacity == 0 {
-            ProfileCache::new()
-        } else {
-            ProfileCache::with_capacity(config.analysis_cache_capacity)
-        });
         let mut keyed: Vec<(Device, PlannerSlot)> = Vec::with_capacity(planners.len());
         for planner in planners {
             let device = planner.device();
             if keyed.iter().any(|(d, _)| *d == device) {
                 return Err(ServeError::DuplicateDevice(device));
             }
-            keyed.push((
-                device,
-                PlannerSlot::new(
-                    planner
-                        .with_jobs(Some(1))
-                        .with_cache(Arc::clone(&analysis_cache)),
-                ),
-            ));
+            keyed.push((device, PlannerSlot::new(planner.with_jobs(Some(1)))));
         }
         Ok(Server {
             planners: keyed,
-            analysis_cache,
-            front: FrontCache::new(config.cache_capacity, config.cache_shards),
+            front: FrontCache::new(config.cache_capacity, FRONT_CACHE_SHARDS),
             metrics: Metrics::new(),
             queue: BoundedQueue::new(config.queue_capacity),
             admission: Admission::new(config.admission),
@@ -274,13 +269,6 @@ impl Server {
                 evictions: self.front.evictions(),
                 len: self.front.len(),
                 capacity: self.front.capacity(),
-            },
-            analysis_cache: CacheStats {
-                hits: self.analysis_cache.hits() as u64,
-                misses: self.analysis_cache.misses() as u64,
-                evictions: self.analysis_cache.evictions() as u64,
-                len: self.analysis_cache.len(),
-                capacity: self.analysis_cache.capacity().unwrap_or(0),
             },
             queue: QueueStats {
                 depth: self.queue.len(),
@@ -376,36 +364,19 @@ impl Server {
             "Kernels inside batch requests.",
             r.batch_kernels,
         );
-        for (i, (cache, s)) in [
-            ("front", &stats.front_cache),
-            ("analysis", &stats.analysis_cache),
-        ]
-        .iter()
-        .enumerate()
-        {
-            let labels = [("cache", *cache)];
-            x.labeled_gauge(
-                "gpufreq_cache_hits",
-                (i == 0).then_some("Cache hits by cache."),
-                &labels,
-                s.hits,
-            );
-        }
-        for (i, (cache, s)) in [
-            ("front", &stats.front_cache),
-            ("analysis", &stats.analysis_cache),
-        ]
-        .iter()
-        .enumerate()
-        {
-            let labels = [("cache", *cache)];
-            x.labeled_gauge(
-                "gpufreq_cache_misses",
-                (i == 0).then_some("Cache misses by cache."),
-                &labels,
-                s.misses,
-            );
-        }
+        let front = [("cache", "front")];
+        x.labeled_gauge(
+            "gpufreq_cache_hits",
+            Some("Cache hits by cache."),
+            &front,
+            stats.front_cache.hits,
+        );
+        x.labeled_gauge(
+            "gpufreq_cache_misses",
+            Some("Cache misses by cache."),
+            &front,
+            stats.front_cache.misses,
+        );
         x.gauge(
             "gpufreq_queue_depth",
             "Jobs waiting for a worker.",
@@ -529,10 +500,10 @@ impl Server {
     }
 
     /// Hot-swap one device's model from a saved artifact at `path`:
-    /// load + validate the artifact, re-home it onto the shared
-    /// analysis cache, swap the slot, and invalidate the device's
-    /// front-cache entries so stale bytes cannot be replayed for the
-    /// new model. In-flight requests finish on the model they resolved.
+    /// load + validate the artifact, swap the slot, and invalidate the
+    /// device's front-cache entries so stale bytes cannot be replayed
+    /// for the new model. In-flight requests finish on the model they
+    /// resolved.
     fn reload_model(&self, device_id: &str, path: &str) -> Result<(Device, u64), ErrorBody> {
         let device: Device = device_id
             .parse()
@@ -550,8 +521,7 @@ impl Server {
             })?;
         let planner = TrainedPlanner::load_for_device(path, device)
             .map_err(|e| ErrorBody::new(ErrorCode::ReloadFailed, format!("{e}")))?
-            .with_jobs(Some(1))
-            .with_cache(Arc::clone(&self.analysis_cache));
+            .with_jobs(Some(1));
         let version = slot.swap(planner);
         self.front.invalidate_device(device);
         Ok((device, version))
@@ -580,14 +550,14 @@ impl Server {
         if let Some(hit) = rec.time("cache_lookup", || self.front.get(key, source)) {
             return Ok(hit);
         }
-        // The split below runs exactly `TrainedPlanner::predict_source`
-        // (shared-cache analyze, then the SVR scan), just timed as two
-        // stages — errors and bytes are identical to the reference.
-        let analyzed = match rec.time("analyze", || planner.cache().analyze(source)) {
-            Ok(analyzed) => analyzed,
+        // The split below runs exactly `predict_uncached` (analyze,
+        // then the SVR scan), just timed as two stages — errors and
+        // bytes are identical to the reference.
+        let features = match rec.time("analyze", || analyze_source(source, None)) {
+            Ok((features, _)) => features,
             Err(e) => return Err(ErrorBody::new(ErrorCode::Kernel, format!("{e}"))),
         };
-        match rec.time("score", || planner.predict(&analyzed.0)) {
+        match rec.time("score", || planner.predict(&features)) {
             // `to_compact_json` writes the same bytes as the generic
             // serializer (pinned in `gpufreq_core::predict`) without
             // building a value tree per response.
@@ -608,7 +578,7 @@ impl Server {
     pub fn handle(&self, request: &Request) -> Response {
         match request {
             Request::Predict { device, source } => match self.resolve(device) {
-                Ok((device, planner)) => match planner.predict_source(source) {
+                Ok((device, planner)) => match predict_uncached(&planner, source) {
                     Ok(prediction) => Response::Predict { device, prediction },
                     Err(e) => ErrorBody::new(ErrorCode::Kernel, format!("{e}")).into_response(),
                 },
@@ -617,10 +587,9 @@ impl Server {
             Request::PredictBatch { device, sources } => match self.resolve(device) {
                 Ok((device, planner)) => Response::PredictBatch {
                     device,
-                    results: planner
-                        .predict_batch(sources)
-                        .into_iter()
-                        .map(|r| match r {
+                    results: sources
+                        .iter()
+                        .map(|source| match predict_uncached(&planner, source) {
                             Ok(p) => crate::protocol::BatchResult::Ok(p),
                             Err(e) => crate::protocol::BatchResult::Err(ErrorBody::new(
                                 ErrorCode::Kernel,
@@ -1245,10 +1214,6 @@ pub fn render_stats_table(stats: &ServerStats) -> String {
             stats.front_cache.evictions.to_string(),
         ],
         vec![
-            "analysis cache hit rate".into(),
-            hit_rate(stats.analysis_cache.hits, stats.analysis_cache.misses),
-        ],
-        vec![
             "queue depth/capacity".into(),
             format!("{}/{}", stats.queue.depth, stats.queue.capacity),
         ],
@@ -1306,8 +1271,6 @@ mod tests {
             workers: 2,
             queue_capacity: 8,
             cache_capacity: 64,
-            cache_shards: 4,
-            analysis_cache_capacity: 32,
             max_connections: 32,
             admission: AdmissionConfig::default(),
         }

@@ -254,3 +254,53 @@ fn concurrent_pipelined_clients_get_identical_in_order_answers() {
         clients as u64 * expected_lines as u64 + 1
     );
 }
+
+/// Kernels that nest one construct far past the parser's limit: the
+/// shapes and depths that used to overflow a worker's stack and abort
+/// the daemon.
+fn poison_sources() -> Vec<String> {
+    let kernel = |stmt: String| {
+        format!("__kernel void deep(__global float* x) {{\n    uint i = get_global_id(0);\n    {stmt}\n}}")
+    };
+    vec![
+        kernel(format!(
+            "x[i] = {}1.0f{};",
+            "(".repeat(20_000),
+            ")".repeat(20_000)
+        )),
+        kernel(format!("{}{}", "{".repeat(50_000), "}".repeat(50_000))),
+        kernel(format!(
+            "x[i] = {}0{};",
+            "x[".repeat(20_000),
+            "]".repeat(20_000)
+        )),
+        kernel(format!("x[i] = {}1;", "!".repeat(200_000))),
+    ]
+}
+
+#[test]
+fn deep_nesting_gets_a_typed_kernel_error_and_the_connection_keeps_serving() {
+    let (addr, handle) = start(ServerConfig {
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let predict = |source: String| Request::Predict {
+        device: Device::TitanX.id().into(),
+        source,
+    };
+    for poison in poison_sources() {
+        let answer = ask(&mut stream, &predict(poison));
+        let error = answer.error().expect("a typed error");
+        assert_eq!(error.code, ErrorCode::Kernel, "{error}");
+        assert!(error.message.contains("nesting deeper than"), "{error}");
+        // The same connection, on the same daemon, still serves.
+        assert!(matches!(
+            ask(&mut stream, &predict(SAXPY.into())),
+            Response::Predict { .. }
+        ));
+    }
+    drop(stream);
+    let stats = shut_down(addr, handle);
+    assert_eq!(stats.requests.errors, 4);
+}

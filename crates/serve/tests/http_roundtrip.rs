@@ -276,6 +276,45 @@ fn typed_error_codes_map_to_the_documented_statuses() {
 }
 
 #[test]
+fn deep_nesting_gets_a_422_kernel_error_and_the_connection_keeps_serving() {
+    let (line_addr, http_addr, handle) = start();
+    let mut stream = TcpStream::connect(http_addr).expect("http connect");
+    let kernel = |stmt: String| {
+        format!("__kernel void deep(__global float* x) {{\n    uint i = get_global_id(0);\n    {stmt}\n}}")
+    };
+    let poisons = [
+        kernel(format!(
+            "x[i] = {}1.0f{};",
+            "(".repeat(20_000),
+            ")".repeat(20_000)
+        )),
+        kernel(format!("{}{}", "{".repeat(50_000), "}".repeat(50_000))),
+        kernel(format!(
+            "x[i] = {}0{};",
+            "x[".repeat(20_000),
+            "]".repeat(20_000)
+        )),
+        kernel(format!("x[i] = {}1;", "!".repeat(200_000))),
+    ];
+    let body = |source: &str| {
+        format!(
+            "{{\"device\":\"titan-x\",\"source\":{}}}",
+            json_string(source)
+        )
+    };
+    for poison in &poisons {
+        let reply = exchange(&mut stream, "POST", "/predict", Some(&body(poison)));
+        assert_eq!(reply.status, 422, "{}", reply.body);
+        assert!(reply.body.contains("\"code\":\"kernel\""), "{}", reply.body);
+        assert!(reply.body.contains("nesting deeper than"), "{}", reply.body);
+        // The same keep-alive connection still serves a normal predict.
+        let ok = exchange(&mut stream, "POST", "/predict", Some(&body(SAXPY)));
+        assert_eq!(ok.status, 200, "{}", ok.body);
+    }
+    shut_down(line_addr, handle);
+}
+
+#[test]
 fn hot_reload_swaps_the_model_without_dropping_open_connections() {
     let dir = std::env::temp_dir().join("gpufreq-http-roundtrip");
     std::fs::create_dir_all(&dir).expect("temp dir");

@@ -125,13 +125,6 @@ fn every_response_variant_round_trips() {
                     len: 3,
                     capacity: 64,
                 },
-                analysis_cache: CacheStats {
-                    hits: 2,
-                    misses: 3,
-                    evictions: 0,
-                    len: 3,
-                    capacity: 0,
-                },
                 queue: QueueStats {
                     depth: 0,
                     capacity: 256,
@@ -143,6 +136,14 @@ fn every_response_variant_round_trips() {
                     p95: 4095,
                     p99: 4095,
                     max: 3000,
+                    // Five requests in [128, 256)µs, four in [2048, 4096)µs.
+                    buckets: (0..40)
+                        .map(|i| match i {
+                            7 => 5,
+                            11 => 4,
+                            _ => 0,
+                        })
+                        .collect(),
                 },
                 connections: ConnectionStats {
                     opened: 12,

@@ -161,8 +161,6 @@ fn serve_responses_are_identical_at_any_worker_count() {
                 workers,
                 queue_capacity: 64,
                 cache_capacity,
-                cache_shards: 2,
-                analysis_cache_capacity: 8,
                 ..ServerConfig::default()
             },
         )

@@ -166,3 +166,61 @@ fn a_killed_backend_opens_its_circuit_and_recovers_on_restart() {
         revived_summary.requests.predict
     );
 }
+
+#[test]
+fn a_deeply_nested_kernel_gets_a_typed_error_and_kills_no_replica() {
+    let replicas = [spawn_backend(), spawn_backend()];
+    let router = spawn_router(test_router_config(&[replicas[0].addr, replicas[1].addr]));
+    let kernel = |stmt: String| {
+        format!("__kernel void deep(__global float* x) {{\n    uint i = get_global_id(0);\n    {stmt}\n}}")
+    };
+    let poisons = [
+        kernel(format!(
+            "x[i] = {}1.0f{};",
+            "(".repeat(20_000),
+            ")".repeat(20_000)
+        )),
+        kernel(format!("{}{}", "{".repeat(50_000), "}".repeat(50_000))),
+        kernel(format!(
+            "x[i] = {}0{};",
+            "x[".repeat(20_000),
+            "]".repeat(20_000)
+        )),
+        kernel(format!("x[i] = {}1;", "!".repeat(200_000))),
+    ];
+    let predict = |source: &str| Request::Predict {
+        device: "titan-x".to_string(),
+        source: source.to_string(),
+    };
+    let mut client = common::connect(router.addr);
+    for poison in &poisons {
+        let response = client.request(&predict(poison)).expect("poison answer");
+        assert!(response.contains("\"code\":\"kernel\""), "{response}");
+        assert!(response.contains("nesting deeper than"), "{response}");
+        let ok = client.request(&predict(SAXPY)).expect("normal answer");
+        assert!(ok.starts_with("{\"ok\":\"predict\""), "{ok}");
+    }
+    // Both replicas are alive and closed: a typed answer is not a
+    // backend failure, so nothing was retried elsewhere.
+    for replica in &replicas {
+        assert_eq!(
+            circuit_of(&router.router, replica.addr),
+            CircuitState::Closed
+        );
+    }
+    assert_eq!(router.router.snapshot().counters.retried, 0);
+
+    shutdown(router.addr);
+    router.thread.join().expect("router thread");
+    let mut errors = 0;
+    for replica in replicas {
+        shutdown(replica.addr);
+        errors += replica
+            .thread
+            .join()
+            .expect("replica thread")
+            .requests
+            .errors;
+    }
+    assert_eq!(errors, 4, "each poison reached exactly one replica once");
+}
