@@ -16,8 +16,10 @@
 //!   log whose records carry the trace id and per-stage breakdown.
 //!
 //! Everything here is deliberately decoupled from the wire protocol:
-//! the serve and router crates own *what* they measure; this crate
-//! owns the clocks, buckets, and formats.
+//! the serve crate's request-telemetry core
+//! (`gpufreq_serve::metrics::Telemetry`, which both the daemon and the
+//! router own) decides *what* is measured and logged per request; this
+//! crate owns the clocks, buckets, and formats.
 
 #![deny(missing_docs)]
 

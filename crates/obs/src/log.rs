@@ -14,8 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::spans::SpanRecorder;
-
 /// Sustained records per second the limiter admits.
 const RATE_PER_SEC: f64 = 64.0;
 
@@ -160,11 +158,6 @@ impl TraceLog {
         })
     }
 
-    /// The configured slow threshold (µs).
-    pub fn slow_threshold_us(&self) -> u64 {
-        self.slow_threshold_us
-    }
-
     /// Whether a request with this latency/error outcome qualifies for
     /// a record (before rate limiting).
     pub fn qualifies(&self, total_us: u64, is_error: bool) -> bool {
@@ -203,33 +196,6 @@ impl TraceLog {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Convenience: build the record from a [`SpanRecorder`] and write
-    /// it if the outcome [qualifies](TraceLog::qualifies).
-    #[allow(clippy::too_many_arguments)]
-    pub fn maybe_write(
-        &self,
-        component: &str,
-        trace: &str,
-        op: &str,
-        recorder: &SpanRecorder,
-        total_us: u64,
-        error: Option<&str>,
-        peer: Option<&str>,
-    ) {
-        if !self.qualifies(total_us, error.is_some()) {
-            return;
-        }
-        self.write(&TraceRecord {
-            component,
-            trace,
-            op,
-            total_us,
-            stages: recorder.spans(),
-            error,
-            peer,
-        });
     }
 
     /// Records written so far.
@@ -337,21 +303,5 @@ mod tests {
         assert!(log.dropped() > 0, "past-burst records dropped");
         let lines = std::fs::read_to_string(&path).unwrap().lines().count();
         assert_eq!(lines as u64, log.written());
-    }
-
-    #[test]
-    fn maybe_write_threads_the_recorder_spans_through() {
-        let path = temp_path("maybe.jsonl");
-        std::fs::remove_file(&path).ok();
-        let log = TraceLog::open(path.to_str().unwrap(), 0).unwrap();
-        let mut rec = SpanRecorder::start();
-        rec.record_us("admission", 2);
-        rec.record_us("score", 900);
-        log.maybe_write("serve", "abc", "predict", &rec, 950, None, Some("peer"));
-        let contents = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            contents.contains("\"stages\":{\"admission\":2,\"score\":900}"),
-            "{contents}"
-        );
     }
 }

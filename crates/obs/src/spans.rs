@@ -151,9 +151,10 @@ impl StageSet {
         }
     }
 
-    /// Fold a recorder's spans into the per-stage histograms.
-    pub fn absorb(&self, recorder: &SpanRecorder) {
-        for (name, us) in recorder.spans() {
+    /// Fold a request's `(stage, µs)` spans into the per-stage
+    /// histograms.
+    pub fn absorb(&self, spans: &[(&'static str, u64)]) {
+        for (name, us) in spans {
             self.observe_us(name, *us);
         }
     }
@@ -164,29 +165,19 @@ impl StageSet {
     }
 }
 
-/// Per-request span collection: a monotonic start instant plus the
-/// `(stage, µs)` pairs measured so far, in recording order. Cheap
-/// enough to build per request; fold into a [`StageSet`] at the end
-/// and hand to the slow log if the request qualifies.
-#[derive(Debug)]
+/// Per-request span collection: the `(stage, µs)` pairs measured so
+/// far, in recording order. Cheap enough to build per request; fold
+/// into a [`StageSet`] at the end and hand to the slow log if the
+/// request qualifies.
+#[derive(Debug, Default)]
 pub struct SpanRecorder {
-    started: Instant,
     spans: Vec<(&'static str, u64)>,
 }
 
-impl Default for SpanRecorder {
-    fn default() -> SpanRecorder {
-        SpanRecorder::start()
-    }
-}
-
 impl SpanRecorder {
-    /// Start the whole-request clock.
+    /// An empty recorder for one request.
     pub fn start() -> SpanRecorder {
-        SpanRecorder {
-            started: Instant::now(),
-            spans: Vec::new(),
-        }
+        SpanRecorder::default()
     }
 
     /// Record a stage measured externally.
@@ -200,11 +191,6 @@ impl SpanRecorder {
         let out = f();
         self.record_us(name, t0.elapsed().as_micros() as u64);
         out
-    }
-
-    /// Microseconds since [`SpanRecorder::start`].
-    pub fn total_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
     }
 
     /// The `(stage, µs)` pairs recorded so far.
@@ -307,10 +293,9 @@ mod tests {
         assert_eq!(rec.spans().len(), 2);
         assert_eq!(rec.spans()[1], ("queue_wait", 7));
         let set = StageSet::new(&["work", "queue_wait"]);
-        set.absorb(&rec);
+        set.absorb(rec.spans());
         for (_, h) in set.iter() {
             assert_eq!(h.snapshot().count, 1);
         }
-        assert!(rec.total_us() < 60_000_000, "monotonic total");
     }
 }

@@ -9,7 +9,7 @@
 //! connection and record the outcome with the breaker.
 
 use std::io;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use gpufreq_obs::StageSet;
@@ -66,20 +66,22 @@ pub struct Backend {
     pool_idle: usize,
     read_timeout: Option<std::time::Duration>,
     state: Mutex<BackendState>,
-    /// Router-shared per-stage histograms; when set, every fresh dial
-    /// records a `connect` span. Set once by `Router::new`.
-    stages: OnceLock<Arc<StageSet>>,
+    /// Router-shared per-stage histograms; every fresh dial records a
+    /// `connect` span.
+    stages: Arc<StageSet>,
 }
 
 impl Backend {
     /// A backend at `addr` serving `devices`, with `config`'s breaker
     /// and pool knobs. `info` seeds the device-inventory cache when
-    /// startup discovery already fetched it.
+    /// startup discovery already fetched it; fresh dials are timed
+    /// into `stages`.
     pub fn new(
         addr: String,
         devices: Vec<Device>,
         info: Option<Vec<DeviceInfo>>,
         config: &RouterConfig,
+        stages: Arc<StageSet>,
     ) -> Backend {
         Backend {
             addr,
@@ -96,15 +98,8 @@ impl Backend {
                 failures: 0,
                 info,
             }),
-            stages: OnceLock::new(),
+            stages,
         }
-    }
-
-    /// Share the router's per-stage histograms with this backend so
-    /// fresh dials record `connect` spans. Later calls are ignored
-    /// (the first registration wins).
-    pub(crate) fn attach_stages(&self, stages: Arc<StageSet>) {
-        let _ = self.stages.set(stages);
     }
 
     /// The backend's `host:port` address.
@@ -189,9 +184,8 @@ impl Backend {
                 let dial = Instant::now();
                 let client = LineClient::connect(&self.addr)?;
                 client.set_read_timeout(self.read_timeout)?;
-                if let Some(stages) = self.stages.get() {
-                    stages.observe_us("connect", dial.elapsed().as_micros() as u64);
-                }
+                self.stages
+                    .observe_us("connect", dial.elapsed().as_micros() as u64);
                 client
             }
         };
@@ -283,6 +277,7 @@ mod tests {
             vec![Device::TitanX],
             None,
             &config,
+            Arc::new(StageSet::new(&["connect"])),
         );
         assert!(matches!(
             backend.call("{\"op\":\"devices\"}"),

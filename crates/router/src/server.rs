@@ -18,11 +18,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gpufreq_obs::spans::quantile_from_counts;
-use gpufreq_obs::{trace, Exposition, Histogram, SpanRecorder, StageSet, TraceLog};
-use gpufreq_serve::conn::{self, error_code_of, Connections, LineWriter};
+use gpufreq_obs::{trace, Exposition, SpanRecorder, TraceLog};
+use gpufreq_serve::conn::{self, Connections, LineWriter};
 use gpufreq_serve::http::Gateway;
-use gpufreq_serve::protocol::{ErrorBody, ErrorCode, Request, Response, ServerStats};
+use gpufreq_serve::metrics::Telemetry;
+use gpufreq_serve::protocol::{ErrorBody, ErrorCode, LatencyStats, Request, Response, ServerStats};
 use gpufreq_serve::{build_rev, LineClient};
 use gpufreq_sim::Device;
 
@@ -84,15 +84,10 @@ pub struct Router {
     retried: AtomicU64,
     broken_circuit: AtomicU64,
     malformed: AtomicU64,
-    /// When the router started (uptime in healthz/metrics).
-    started: Instant,
-    /// Per-stage latency histograms ([`ROUTER_STAGE_NAMES`]); shared
-    /// with the backends so fresh dials record `connect` spans.
-    stages: Arc<StageSet>,
-    /// Whole-request latency (line read to response body ready).
-    latency: Histogram,
-    /// Optional slow-request/error log (`--trace-log`).
-    trace_log: Option<Arc<TraceLog>>,
+    /// Uptime, whole-request latency, the [`ROUTER_STAGE_NAMES`]
+    /// histograms (shared with the backends so fresh dials record
+    /// `connect` spans), and the optional `--trace-log`.
+    telemetry: Telemetry,
 }
 
 impl Router {
@@ -104,6 +99,7 @@ impl Router {
         if config.backends.is_empty() {
             return Err(RouterError::NoBackends);
         }
+        let telemetry = Telemetry::new("router", &ROUTER_STAGE_NAMES);
         let mut backends = Vec::with_capacity(config.backends.len());
         for spec in &config.backends {
             let (devices, info) = if spec.devices.is_empty() {
@@ -121,7 +117,13 @@ impl Router {
             } else {
                 (spec.devices.clone(), None)
             };
-            backends.push(Backend::new(spec.addr.clone(), devices, info, &config));
+            backends.push(Backend::new(
+                spec.addr.clone(),
+                devices,
+                info,
+                &config,
+                Arc::clone(telemetry.stages()),
+            ));
         }
         let shards: Vec<(Device, Vec<usize>)> = Device::all()
             .into_iter()
@@ -138,10 +140,6 @@ impl Router {
         if shards.is_empty() {
             return Err(RouterError::NoDevices);
         }
-        let stages = Arc::new(StageSet::new(&ROUTER_STAGE_NAMES));
-        for backend in &backends {
-            backend.attach_stages(Arc::clone(&stages));
-        }
         Ok(Router {
             backends,
             shards,
@@ -152,16 +150,13 @@ impl Router {
             retried: AtomicU64::new(0),
             broken_circuit: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
-            started: Instant::now(),
-            stages,
-            latency: Histogram::new(),
-            trace_log: None,
+            telemetry,
         })
     }
 
     /// Attach a slow-request/error trace log. Call before serving.
     pub fn set_trace_log(&mut self, log: Arc<TraceLog>) {
-        self.trace_log = Some(log);
+        self.telemetry.set_trace_log(log);
     }
 
     /// The devices the router serves, in shard order.
@@ -220,7 +215,7 @@ impl Router {
 
     /// [`Router::handle_line`] with the client address for the trace
     /// log. Extracts the optional trace id, times the whole request,
-    /// and records per-stage spans through [`Router::finish`].
+    /// and records per-stage spans through [`Telemetry::finish`].
     fn handle_line_from(&self, line: &str, peer: Option<IpAddr>) -> String {
         let accepted = Instant::now();
         let trace = trace::extract(line).map(str::to_string);
@@ -237,52 +232,8 @@ impl Router {
                 ("invalid", error.into_response().to_json())
             }
         };
-        self.finish(op, trace_id, accepted, &rec, peer, body)
-    }
-
-    /// Finish one request: record the whole-request latency, absorb
-    /// the recorder's spans into the per-stage histograms, write the
-    /// slow/error log record, and echo the trace id onto the body
-    /// unless a backend already did (relayed bodies arrive traced).
-    fn finish(
-        &self,
-        op: &str,
-        trace_id: Option<&str>,
-        accepted: Instant,
-        rec: &SpanRecorder,
-        peer: Option<IpAddr>,
-        body: String,
-    ) -> String {
-        let total_us = accepted.elapsed().as_micros() as u64;
-        self.latency.observe_us(total_us);
-        self.stages.absorb(rec);
-        if let Some(log) = &self.trace_log {
-            let error = error_code_of(&body);
-            if log.qualifies(total_us, error.is_some()) {
-                let minted;
-                let id = match trace_id {
-                    Some(id) => id,
-                    None => {
-                        minted = trace::mint();
-                        &minted
-                    }
-                };
-                let peer = peer.map(|p| p.to_string());
-                log.write(&gpufreq_obs::TraceRecord {
-                    component: "router",
-                    trace: id,
-                    op,
-                    total_us,
-                    stages: rec.spans(),
-                    error,
-                    peer: peer.as_deref(),
-                });
-            }
-        }
-        match trace_id {
-            Some(id) if trace::extract(&body) != Some(id) => trace::attach(&body, id),
-            _ => body,
-        }
+        self.telemetry
+            .finish(op, trace_id, accepted, rec.spans(), body, peer)
     }
 
     /// Dispatch a parsed request. `raw` is the original wire line when
@@ -359,7 +310,7 @@ impl Router {
                     let us = exchange.elapsed().as_micros() as u64;
                     match rec.as_deref_mut() {
                         Some(rec) => rec.record_us("roundtrip", us),
-                        None => self.stages.observe_us("roundtrip", us),
+                        None => self.telemetry.stages().observe_us("roundtrip", us),
                     }
                     // ordering: see `snapshot` — monotonic counter.
                     self.routed.fetch_add(1, Ordering::Relaxed);
@@ -459,7 +410,8 @@ impl Router {
         let merge = Instant::now();
         // Backends echo the trace id we attached onto each sub-response;
         // detach before splicing so the merged bytes stay identical to a
-        // single-backend run (`finish` re-attaches the id once, at the end).
+        // single-backend run (`Telemetry::finish` re-attaches the id once,
+        // at the end).
         let responses: Vec<Option<String>> = responses
             .into_iter()
             .map(|r| {
@@ -544,26 +496,17 @@ impl Router {
         body
     }
 
-    /// Render the router's Prometheus-style text exposition: routing
-    /// counters, per-backend health gauges, the whole-request latency
-    /// histogram, and one histogram per routing stage
-    /// ([`ROUTER_STAGE_NAMES`]). Served by `GET /metrics` on the HTTP
+    /// Render the router's Prometheus-style text exposition: the
+    /// shared [`Telemetry`] families (one stage histogram per
+    /// [`ROUTER_STAGE_NAMES`] entry), then routing counters and
+    /// per-backend health gauges. Served by `GET /metrics` on the HTTP
     /// gateway and (JSON-wrapped) by the `metrics` line verb. Probe
     /// traffic appears only in `gpufreq_backend_probes`.
     pub fn exposition(&self) -> String {
         let snap = self.snapshot();
         let c = &snap.counters;
         let mut x = Exposition::new();
-        x.info(
-            "gpufreq_build_info",
-            "Build metadata.",
-            &[("component", "router"), ("build", build_rev())],
-        );
-        x.gauge(
-            "gpufreq_uptime_seconds",
-            "Seconds since the process started.",
-            self.started.elapsed().as_secs(),
-        );
+        self.telemetry.expose(&mut x);
         x.counter(
             "gpufreq_router_routed_total",
             "Requests successfully forwarded to a backend.",
@@ -621,30 +564,6 @@ impl Router {
                     value(b),
                 );
             }
-        }
-        x.histogram_us(
-            "gpufreq_request_latency_us",
-            "Whole-request routing latency (line read to response body ready).",
-            &self.latency.snapshot(),
-        );
-        for (name, h) in self.stages.iter() {
-            x.histogram_us(
-                &format!("gpufreq_stage_{name}_latency_us"),
-                &format!("Latency of the `{name}` routing stage."),
-                &h.snapshot(),
-            );
-        }
-        if let Some(log) = &self.trace_log {
-            x.counter(
-                "gpufreq_trace_log_written_total",
-                "Slow/error records written to the trace log.",
-                log.written(),
-            );
-            x.counter(
-                "gpufreq_trace_log_dropped_total",
-                "Trace-log records dropped (rate limit or I/O errors).",
-                log.dropped(),
-            );
         }
         x.finish()
     }
@@ -713,7 +632,8 @@ impl Gateway for Router {
         let accepted = Instant::now();
         let mut rec = SpanRecorder::start();
         let body = self.dispatch(&request, None, trace, &mut rec);
-        self.finish(request.op(), trace, accepted, &rec, Some(peer), body)
+        self.telemetry
+            .finish(request.op(), trace, accepted, rec.spans(), body, Some(peer))
     }
 
     fn shutting_down(&self) -> bool {
@@ -727,7 +647,7 @@ impl Gateway for Router {
     fn health_body(&self) -> String {
         format!(
             "{{\"ok\":\"healthz\",\"router\":{{\"uptime_s\":{},\"build\":\"{}\",\"backends\":{}}}}}",
-            self.started.elapsed().as_secs(),
+            self.telemetry.uptime_s(),
             build_rev(),
             self.backends.len(),
         )
@@ -817,17 +737,14 @@ fn add_stats(total: &mut ServerStats, stats: &ServerStats) {
     total.queue.capacity += stats.queue.capacity;
     total.workers += stats.workers;
     let (t, s) = (&mut total.latency_us, &stats.latency_us);
-    t.count += s.count;
-    if t.buckets.len() < s.buckets.len() {
-        t.buckets.resize(s.buckets.len(), 0);
+    let mut buckets = std::mem::take(&mut t.buckets);
+    if buckets.len() < s.buckets.len() {
+        buckets.resize(s.buckets.len(), 0);
     }
-    for (sum, n) in t.buckets.iter_mut().zip(&s.buckets) {
+    for (sum, n) in buckets.iter_mut().zip(&s.buckets) {
         *sum += n;
     }
-    t.p50 = quantile_from_counts(&t.buckets, 0.50);
-    t.p95 = quantile_from_counts(&t.buckets, 0.95);
-    t.p99 = quantile_from_counts(&t.buckets, 0.99);
-    t.max = t.max.max(s.max);
+    *t = LatencyStats::from_buckets(buckets, t.max.max(s.max));
     total.connections.opened += stats.connections.opened;
     total.connections.closed += stats.connections.closed;
     total.connections.refused += stats.connections.refused;
@@ -850,6 +767,7 @@ fn add_stats(total: &mut ServerStats, stats: &ServerStats) {
 mod tests {
     use super::*;
     use crate::config::BackendSpec;
+    use gpufreq_obs::Histogram;
 
     fn config(backends: &[&str]) -> RouterConfig {
         RouterConfig {
@@ -941,14 +859,7 @@ mod tests {
         }
         let snap = h.snapshot();
         ServerStats {
-            latency_us: gpufreq_serve::protocol::LatencyStats {
-                count: snap.count,
-                p50: snap.quantile_us(0.50),
-                p95: snap.quantile_us(0.95),
-                p99: snap.quantile_us(0.99),
-                max: snap.max_us,
-                buckets: snap.buckets,
-            },
+            latency_us: LatencyStats::from_buckets(snap.buckets, snap.max_us),
             ..ServerStats::default()
         }
     }

@@ -4,9 +4,10 @@
 //! request is enqueued:
 //!
 //! * **Windowed p99** — the server already maintains a cumulative
-//!   latency histogram ([`Metrics`]); the controller keeps a *base*
-//!   snapshot of its bucket counts and computes the p99 of the **delta**
-//!   (requests observed since the base). Once the window holds
+//!   latency histogram ([`Telemetry`](crate::metrics::Telemetry));
+//!   the controller keeps a *base* snapshot of its bucket counts and
+//!   computes the p99 of the **delta** (requests observed since the
+//!   base). Once the window holds
 //!   `WINDOW_SPAN` observations the base slides forward, so the p99
 //!   tracks recent load instead of the whole process lifetime. When the
 //!   rolling p99 exceeds the configured target, new predict work is
@@ -23,8 +24,8 @@
 //! overloaded server must stay observable and drainable, and replays
 //! must stay byte-identical.
 
-use crate::metrics::Metrics;
 use gpufreq_obs::spans::quantile_from_counts;
+use gpufreq_obs::Histogram;
 use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::{Mutex, MutexGuard};
@@ -108,7 +109,8 @@ impl Admission {
     /// Decide whether a predict request from `peer` may be enqueued.
     /// `None` admits; `Some(rejection)` names the gate that refused.
     /// Requests without a peer (in-process replay) are always admitted.
-    pub fn admit(&self, peer: Option<IpAddr>, metrics: &Metrics) -> Option<Rejection> {
+    /// `latency` is the server's whole-request histogram.
+    pub fn admit(&self, peer: Option<IpAddr>, latency: &Histogram) -> Option<Rejection> {
         let peer = peer?;
         if let Some(quota) = self.config.quota {
             if !self.take_token(peer, quota, Instant::now()) {
@@ -116,7 +118,7 @@ impl Admission {
             }
         }
         if let Some(target_us) = self.config.p99_target_us {
-            if let Some(p99) = self.windowed_p99(&metrics.latency_snapshot().buckets) {
+            if let Some(p99) = self.windowed_p99(&latency.snapshot().buckets) {
                 if p99 > target_us {
                     return Some(Rejection::P99);
                 }
@@ -208,11 +210,11 @@ mod tests {
     #[test]
     fn no_gates_admits_everything_without_a_peer_map() {
         let adm = Admission::new(AdmissionConfig::default());
-        let metrics = Metrics::new();
+        let latency = Histogram::new();
         for _ in 0..100 {
-            assert_eq!(adm.admit(Some(ip(1)), &metrics), None);
+            assert_eq!(adm.admit(Some(ip(1)), &latency), None);
         }
-        assert_eq!(adm.admit(None, &metrics), None);
+        assert_eq!(adm.admit(None, &latency), None);
     }
 
     #[test]
@@ -250,13 +252,13 @@ mod tests {
             p99_target_us: Some(1000),
             quota: None,
         });
-        let metrics = Metrics::new();
-        assert_eq!(adm.admit(Some(ip(1)), &metrics), None, "establishes base");
+        let latency = Histogram::new();
+        assert_eq!(adm.admit(Some(ip(1)), &latency), None, "establishes base");
         for _ in 0..200 {
-            metrics.observe_us(5000);
+            latency.observe_us(5000);
         }
-        assert_eq!(adm.admit(Some(ip(1)), &metrics), Some(Rejection::P99));
-        assert_eq!(adm.admit(None, &metrics), None, "replay path is exempt");
+        assert_eq!(adm.admit(Some(ip(1)), &latency), Some(Rejection::P99));
+        assert_eq!(adm.admit(None, &latency), None, "replay path is exempt");
     }
 
     #[test]

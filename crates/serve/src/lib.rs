@@ -23,6 +23,11 @@
 //!   front-cache hit rate, queue depth, and a latency histogram with
 //!   p50/p95/p99 and its bucket counts, surfaced by the `stats` request
 //!   and the final shutdown summary;
+//! * one **request-telemetry core** ([`metrics::Telemetry`]) — uptime,
+//!   the whole-request and per-stage latency histograms, and the
+//!   slow/error trace log — which finishes every request and writes
+//!   the shared `/metrics` families for the daemon and the router
+//!   alike;
 //! * **deterministic responses**: the same request stream produces
 //!   byte-identical response bodies at any worker count (see
 //!   [`server`]'s module docs; pinned by `tests/determinism.rs`);

@@ -24,6 +24,7 @@
 //! [`ErrorBody`] response — never a dropped connection.
 
 use gpufreq_core::ParetoPrediction;
+use gpufreq_obs::spans::quantile_from_counts;
 use gpufreq_sim::Device;
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
@@ -662,4 +663,20 @@ pub struct LatencyStats {
     /// layout: bucket `i` counts `[2^i, 2^(i+1))` µs, bucket 0 also
     /// takes sub-µs requests, and the last bucket is open-ended.
     pub buckets: Vec<u64>,
+}
+
+impl LatencyStats {
+    /// The summary of a histogram's bucket counts: `count` is their
+    /// sum and p50/p95/p99 are read from them; `max` is the exact
+    /// largest observation, which the buckets cannot carry.
+    pub fn from_buckets(buckets: Vec<u64>, max: u64) -> LatencyStats {
+        LatencyStats {
+            count: buckets.iter().sum(),
+            p50: quantile_from_counts(&buckets, 0.50),
+            p95: quantile_from_counts(&buckets, 0.95),
+            p99: quantile_from_counts(&buckets, 0.99),
+            max,
+            buckets,
+        }
+    }
 }

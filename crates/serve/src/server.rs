@@ -33,11 +33,11 @@
 
 use crate::admission::{Admission, AdmissionConfig, Rejection};
 use crate::cache::{key_hash, FrontCache};
-use crate::conn::{self, error_code_of, Connections};
-use crate::metrics::Metrics;
+use crate::conn::{self, Connections};
+use crate::metrics::{Metrics, Telemetry};
 use crate::protocol::{
-    CacheStats, DeviceInfo, ErrorBody, ErrorCode, QueueStats, Request, Response, ServerInfo,
-    ServerStats, SlotInfo,
+    CacheStats, DeviceInfo, ErrorBody, ErrorCode, LatencyStats, QueueStats, Request, Response,
+    ServerInfo, ServerStats, SlotInfo,
 };
 use crate::queue::{BoundedQueue, PushError, ResponseLane, Slot};
 use crate::reload::PlannerSlot;
@@ -67,15 +67,6 @@ pub const STAGE_NAMES: [&str; 6] = [
 /// empty for local builds.
 pub fn build_rev() -> &'static str {
     option_env!("GPUFREQ_BUILD_REV").unwrap_or("")
-}
-
-/// Append the request's trace id to an already-serialized response
-/// body (no-op for untraced requests, so their bytes stay pinned).
-fn attach_trace(body: String, trace_id: Option<&str>) -> String {
-    match trace_id {
-        Some(id) => trace::attach(&body, id),
-        None => body,
-    }
 }
 
 /// [`TrainedPlanner::predict_source`] without the planner's analysis
@@ -188,9 +179,7 @@ pub struct Server {
     shutting_down: AtomicBool,
     workers: usize,
     conns: Connections,
-    started: Instant,
-    stages: StageSet,
-    trace_log: Option<Arc<TraceLog>>,
+    telemetry: Telemetry,
 }
 
 impl Server {
@@ -221,9 +210,7 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             workers: config.workers.max(1),
             conns: Connections::new("gpufreq-serve", config.max_connections),
-            started: Instant::now(),
-            stages: StageSet::new(&STAGE_NAMES),
-            trace_log: None,
+            telemetry: Telemetry::new("serve", &STAGE_NAMES),
         })
     }
 
@@ -231,7 +218,7 @@ impl Server {
     /// [`TraceLog`]); qualifying requests are written as JSON lines
     /// carrying the trace id and per-stage breakdown.
     pub fn set_trace_log(&mut self, log: Arc<TraceLog>) {
-        self.trace_log = Some(log);
+        self.telemetry.set_trace_log(log);
     }
 
     /// The devices served, in planner order.
@@ -275,7 +262,10 @@ impl Server {
                 capacity: self.queue.capacity(),
             },
             workers: self.workers,
-            latency_us: self.metrics.latency(),
+            latency_us: {
+                let snap = self.telemetry.latency().snapshot();
+                LatencyStats::from_buckets(snap.buckets, snap.max_us)
+            },
             server: self.server_info(),
         }
     }
@@ -284,7 +274,7 @@ impl Server {
     /// version serving in each device slot.
     pub fn server_info(&self) -> ServerInfo {
         ServerInfo {
-            uptime_s: self.started.elapsed().as_secs(),
+            uptime_s: self.telemetry.uptime_s(),
             build: build_rev().to_string(),
             slots: self
                 .planners
@@ -297,26 +287,17 @@ impl Server {
         }
     }
 
-    /// Render the Prometheus-style text exposition: request counters,
-    /// cache/queue/connection gauges, the whole-request latency
-    /// histogram, one histogram per pipeline stage
-    /// ([`STAGE_NAMES`]), and trace-log accounting. Served verbatim by
+    /// Render the Prometheus-style text exposition: the shared
+    /// [`Telemetry`] families (one stage histogram per
+    /// [`STAGE_NAMES`] entry), then model slots, request counters and
+    /// cache/queue/connection gauges. Served verbatim by
     /// `GET /metrics` and (JSON-wrapped) by the `metrics` line verb.
     pub fn exposition(&self) -> String {
         let stats = self.stats();
         let r = &stats.requests;
         let c = &stats.connections;
         let mut x = Exposition::new();
-        x.info(
-            "gpufreq_build_info",
-            "Build metadata.",
-            &[("component", "serve"), ("build", &stats.server.build)],
-        );
-        x.gauge(
-            "gpufreq_uptime_seconds",
-            "Seconds since the process started.",
-            stats.server.uptime_s,
-        );
+        self.telemetry.expose(&mut x);
         for (i, slot) in stats.server.slots.iter().enumerate() {
             x.labeled_gauge(
                 "gpufreq_model_slot_version",
@@ -397,90 +378,7 @@ impl Server {
             "Connections refused at the cap.",
             c.refused,
         );
-        x.histogram_us(
-            "gpufreq_request_latency_us",
-            "Whole-request serving latency (request read to response body ready).",
-            &self.metrics.latency_snapshot(),
-        );
-        for (name, h) in self.stages.iter() {
-            x.histogram_us(
-                &format!("gpufreq_stage_{name}_latency_us"),
-                &format!("Latency of the `{name}` stage."),
-                &h.snapshot(),
-            );
-        }
-        if let Some(log) = &self.trace_log {
-            x.counter(
-                "gpufreq_trace_log_written_total",
-                "Slow/error records written to the trace log.",
-                log.written(),
-            );
-            x.counter(
-                "gpufreq_trace_log_dropped_total",
-                "Trace-log records dropped (rate limit or I/O errors).",
-                log.dropped(),
-            );
-        }
         x.finish()
-    }
-
-    /// Write one slow-request/error record if a trace log is attached
-    /// and the outcome qualifies. A request without a client trace id
-    /// gets one minted here so the log line is still greppable.
-    fn log_request(
-        &self,
-        op: &str,
-        trace_id: Option<&str>,
-        total_us: u64,
-        stages: &[(&'static str, u64)],
-        body: &str,
-        peer: Option<IpAddr>,
-    ) {
-        let Some(log) = &self.trace_log else { return };
-        let error = error_code_of(body);
-        if !log.qualifies(total_us, error.is_some()) {
-            return;
-        }
-        let minted;
-        let id = match trace_id {
-            Some(id) => id,
-            None => {
-                minted = trace::mint();
-                &minted
-            }
-        };
-        let peer = peer.map(|p| p.to_string());
-        log.write(&gpufreq_obs::TraceRecord {
-            component: "serve",
-            trace: id,
-            op,
-            total_us,
-            stages,
-            error,
-            peer: peer.as_deref(),
-        });
-    }
-
-    /// Finish a request answered inline (not through the worker pool):
-    /// record the latency, absorb `stages` into the per-stage
-    /// histograms, write the slow/error log record, and echo the trace
-    /// id onto the body.
-    fn finish_inline(
-        &self,
-        op: &str,
-        accepted: Instant,
-        trace_id: Option<&str>,
-        peer: Option<IpAddr>,
-        stages: &[(&'static str, u64)],
-        body: String,
-    ) -> String {
-        let total_us = accepted.elapsed().as_micros() as u64;
-        self.metrics.observe_us(total_us);
-        for (name, us) in stages {
-            self.stages.observe_us(name, *us);
-        }
-        self.log_request(op, trace_id, total_us, stages, &body, peer);
-        attach_trace(body, trace_id)
     }
 
     // ------------------------------------------------------------------
@@ -735,7 +633,7 @@ impl Server {
         ) {
             return None;
         }
-        let rejection = self.admission.admit(peer, &self.metrics)?;
+        let rejection = self.admission.admit(peer, self.telemetry.latency())?;
         self.metrics.count_rejected();
         let message = match rejection {
             Rejection::P99 => {
@@ -789,18 +687,14 @@ impl Server {
                 "internal error while serving the request",
             ))
         });
-        let total_us = job.accepted.elapsed().as_micros() as u64;
-        self.metrics.observe_us(total_us);
-        self.stages.absorb(&rec);
-        self.log_request(
+        self.telemetry.finish(
             job.request.op(),
             job.trace.as_deref(),
-            total_us,
+            job.accepted,
             rec.spans(),
-            &body,
+            body,
             job.peer,
-        );
-        attach_trace(body, job.trace.as_deref())
+        )
     }
 
     /// Process exactly one queued job — lets tests drive the worker
@@ -812,41 +706,59 @@ impl Server {
         job.slot.fill(body);
     }
 
-    /// Execute one already-parsed request synchronously on the calling
-    /// thread — the HTTP gateway's entry point. Control-plane verbs
-    /// (`shutdown`, `reload`) run inline; everything else goes through
-    /// the shared queue + worker pool with the same admission and
-    /// backpressure semantics as the line protocol.
-    pub(crate) fn execute_direct(
+    /// The typed refusal for work arriving after shutdown, counted.
+    fn shutting_down_body(&self) -> String {
+        self.error_response(ErrorBody::new(
+            ErrorCode::ShuttingDown,
+            "server is shutting down",
+        ))
+    }
+
+    /// Take one parsed request accepted at `accepted` from either
+    /// surface: answer control-plane verbs and refusals inline, or
+    /// enqueue the request for the worker pool. The returned slot is
+    /// already filled for an inline answer; a queued job's worker
+    /// fills it.
+    ///
+    /// `shutdown` and `reload` run inline because a control-plane
+    /// request must never lose a race against a data-plane queue kept
+    /// full by busy clients: closing the queue refuses *new* work,
+    /// while everything already queued still drains. `wait_for_space`
+    /// selects the backpressure flavor: single-stream replay pauses on
+    /// a full queue (so replayed responses never depend on worker
+    /// timing), while sockets reject with `overloaded` (a connection
+    /// thread must never block on the queue). `peer` feeds the
+    /// admission gates; `None` (replay) is always admitted.
+    fn submit(
         &self,
         request: Request,
-        peer: Option<IpAddr>,
+        accepted: Instant,
         trace_id: Option<&str>,
-    ) -> String {
-        self.metrics.count_line();
-        let accepted = Instant::now();
-        if let Request::Reload { device, path } = &request {
-            let body = self.reload_body(device, path);
-            return self.finish_inline("reload", accepted, trace_id, peer, &[], body);
-        }
-        if matches!(request, Request::Shutdown) {
-            self.metrics.count_shutdown();
-            self.initiate_shutdown();
-            let body = Response::Shutdown.to_json();
-            return self.finish_inline("shutdown", accepted, trace_id, peer, &[], body);
+        peer: Option<IpAddr>,
+        wait_for_space: bool,
+    ) -> Arc<Slot> {
+        let answer = |op: &str, spans: &[(&'static str, u64)], body: String| {
+            let body = self
+                .telemetry
+                .finish(op, trace_id, accepted, spans, body, peer);
+            Arc::new(Slot::filled(body))
+        };
+        match &request {
+            Request::Shutdown => {
+                self.metrics.count_shutdown();
+                self.initiate_shutdown();
+                return answer("shutdown", &[], Response::Shutdown.to_json());
+            }
+            Request::Reload { device, path } => {
+                return answer("reload", &[], self.reload_body(device, path));
+            }
+            _ => {}
         }
         let gate = Instant::now();
         let admission = self.admission_error(&request, peer);
         let admission_us = gate.elapsed().as_micros() as u64;
         if let Some(body) = admission {
-            return self.finish_inline(
-                request.op(),
-                accepted,
-                trace_id,
-                peer,
-                &[("admission", admission_us)],
-                body,
-            );
+            return answer(request.op(), &[("admission", admission_us)], body);
         }
         let slot = Arc::new(Slot::new());
         let op = request.op();
@@ -858,10 +770,13 @@ impl Server {
             peer,
             admission_us,
         };
-        match self.queue.try_push(job) {
-            // The worker records latency, spans, and the trace echo
-            // when it fills the slot.
-            Ok(()) => slot.wait(),
+        let pushed = if wait_for_space {
+            self.queue.push_wait(job)
+        } else {
+            self.queue.try_push(job)
+        };
+        match pushed {
+            Ok(()) => slot,
             Err((_, PushError::Full)) => {
                 self.metrics.count_rejected();
                 let body = ErrorBody::new(
@@ -873,26 +788,29 @@ impl Server {
                 )
                 .into_response()
                 .to_json();
-                self.finish_inline(op, accepted, trace_id, peer, &[], body)
+                answer(op, &[], body)
             }
-            Err((_, PushError::Closed)) => {
-                let body = self.error_response(ErrorBody::new(
-                    ErrorCode::ShuttingDown,
-                    "server is shutting down",
-                ));
-                self.finish_inline(op, accepted, trace_id, peer, &[], body)
-            }
+            Err((_, PushError::Closed)) => answer(op, &[], self.shutting_down_body()),
         }
     }
 
-    /// Accept one protocol line: parse, enqueue (or answer inline),
-    /// and push the response slot onto the connection's in-order lane.
-    ///
-    /// `wait_for_space` selects the backpressure flavor: single-stream
-    /// replay pauses the reader on a full queue (so replayed responses
-    /// never depend on worker timing), while TCP connections reject
-    /// with `overloaded` (the acceptor must never block). `peer` feeds
-    /// the admission gates; `None` (replay) is always admitted.
+    /// Execute one already-parsed request on the calling thread and
+    /// wait for its body — the HTTP gateway's entry point, with the
+    /// same admission and backpressure as the line protocol.
+    pub(crate) fn execute_direct(
+        &self,
+        request: Request,
+        peer: Option<IpAddr>,
+        trace_id: Option<&str>,
+    ) -> String {
+        self.metrics.count_line();
+        self.submit(request, Instant::now(), trace_id, peer, false)
+            .wait()
+    }
+
+    /// Accept one protocol line: parse it, [`submit`](Server::submit)
+    /// it, and push the response slot onto the connection's in-order
+    /// lane.
     fn accept_line(
         &self,
         line: &str,
@@ -903,104 +821,25 @@ impl Server {
     ) {
         self.metrics.count_line();
         let accepted = Instant::now();
-        let trace = trace::extract(line).map(str::to_string);
-        let trace_id = trace.as_deref();
-        let answer = |op: &str, stages: &[(&'static str, u64)], body: String| {
-            lane.push(Arc::new(Slot::filled(
-                self.finish_inline(op, accepted, trace_id, peer, stages, body),
-            )));
+        let trace_id = trace::extract(line);
+        let refuse = |op: &str, body: String| {
+            let body = self
+                .telemetry
+                .finish(op, trace_id, accepted, &[], body, peer);
+            Arc::new(Slot::filled(body))
         };
-        let request = match Request::parse(line) {
-            Ok(request) => request,
-            Err(e) => {
-                answer("invalid", &[], self.error_response(e));
-                return;
-            }
-        };
-        if *local_shutdown {
+        let slot = match Request::parse(line) {
+            Err(e) => refuse("invalid", self.error_response(e)),
             // Deterministic drain: once this stream has asked for
             // shutdown, everything after it is refused by the stream's
             // own reader instead of racing the closing queue.
-            answer(
-                request.op(),
-                &[],
-                self.error_response(ErrorBody::new(
-                    ErrorCode::ShuttingDown,
-                    "server is shutting down",
-                )),
-            );
-            return;
-        }
-        if matches!(request, Request::Shutdown) {
-            // Control-plane: a shutdown must never lose a race against
-            // a data-plane queue kept full by busy clients, so it is
-            // answered inline instead of queued. Closing the queue
-            // refuses *new* work; everything already queued still
-            // drains, and this lane keeps emitting responses in
-            // request order.
-            self.metrics.count_shutdown();
-            self.initiate_shutdown();
-            *local_shutdown = true;
-            answer("shutdown", &[], Response::Shutdown.to_json());
-            return;
-        }
-        if let Request::Reload { device, path } = &request {
-            // Control-plane like `shutdown`: a model hot-swap must not
-            // lose a race against a full data-plane queue, so it runs
-            // inline on the connection's reader thread.
-            answer("reload", &[], self.reload_body(device, path));
-            return;
-        }
-        let gate = Instant::now();
-        let admission = self.admission_error(&request, peer);
-        let admission_us = gate.elapsed().as_micros() as u64;
-        if let Some(body) = admission {
-            answer(request.op(), &[("admission", admission_us)], body);
-            return;
-        }
-        let slot = Arc::new(Slot::new());
-        let op = request.op();
-        let job = Job {
-            request,
-            slot: Arc::clone(&slot),
-            accepted,
-            trace: trace.clone(),
-            peer,
-            admission_us,
+            Ok(request) if *local_shutdown => refuse(request.op(), self.shutting_down_body()),
+            Ok(request) => {
+                *local_shutdown = matches!(request, Request::Shutdown);
+                self.submit(request, accepted, trace_id, peer, wait_for_space)
+            }
         };
-        let pushed = if wait_for_space {
-            self.queue.push_wait(job)
-        } else {
-            self.queue.try_push(job)
-        };
-        match pushed {
-            Ok(()) => {
-                lane.push(slot);
-            }
-            Err((_, PushError::Full)) => {
-                self.metrics.count_rejected();
-                let body = ErrorBody::new(
-                    ErrorCode::Overloaded,
-                    format!(
-                        "request queue is full ({} queued); retry later",
-                        self.queue.capacity()
-                    ),
-                )
-                .into_response()
-                .to_json();
-                answer(op, &[], body);
-            }
-            Err((_, PushError::Closed)) => {
-                answer(
-                    op,
-                    &[],
-                    self.error_response(ErrorBody::new(
-                        ErrorCode::ShuttingDown,
-                        "server is shutting down",
-                    )),
-                );
-            }
-        }
+        lane.push(slot);
     }
 
     /// Frame protocol lines out of `reader` with the shared
@@ -1045,7 +884,8 @@ impl Server {
     ) -> io::Result<()> {
         let lane = ResponseLane::new();
         std::thread::scope(|s| {
-            let writer_thread = s.spawn(|| Server::write_lane(&lane, writer, Some(&self.stages)));
+            let stages = self.telemetry.stages();
+            let writer_thread = s.spawn(|| Server::write_lane(&lane, writer, Some(stages)));
             self.feed_lane(reader, &lane, replay, peer);
             lane.close();
             // analyze:allow(panic-in-request-path, reason = "join() only errors if the writer itself panicked; re-raising that panic is the faithful report")
@@ -1467,6 +1307,65 @@ mod tests {
             Response::parse(&first.wait()).unwrap(),
             Response::Devices { .. }
         ));
+    }
+
+    #[test]
+    fn line_and_http_intakes_refuse_with_the_same_bytes() {
+        // No workers run, so a queued job stays queued and every
+        // refusal below is decided at intake.
+        let peer = Some(IpAddr::V4(Ipv4Addr::LOCALHOST));
+        let enqueue = |server: &Server, request: &Request| {
+            server.accept_line(
+                &request.to_json(),
+                &ResponseLane::new(),
+                &mut false,
+                false,
+                peer,
+            );
+        };
+        let line_answer = |server: &Server, request: &Request| {
+            let lane = ResponseLane::new();
+            server.accept_line(&request.to_json(), &lane, &mut false, false, peer);
+            lane.close();
+            lane.next().expect("one response slot").wait()
+        };
+        let code = |body: &str| Response::parse(body).unwrap().error().unwrap().code;
+
+        let full = server(ServerConfig {
+            queue_capacity: 1,
+            ..small_config()
+        });
+        enqueue(&full, &Request::Devices);
+        let line = line_answer(&full, &Request::Devices);
+        assert_eq!(full.execute_direct(Request::Devices, peer, None), line);
+        assert_eq!(code(&line), ErrorCode::Overloaded);
+        assert!(line.contains("queue is full"), "{line}");
+        assert_eq!(full.stats().requests.rejected, 2);
+
+        let limited = server(ServerConfig {
+            admission: AdmissionConfig {
+                p99_target_us: None,
+                quota: Some(Quota {
+                    rate_per_sec: 0,
+                    burst: 1,
+                }),
+            },
+            ..small_config()
+        });
+        let predict = Request::predict(Device::TitanX, SAXPY);
+        enqueue(&limited, &predict);
+        let line = line_answer(&limited, &predict);
+        assert_eq!(limited.execute_direct(predict, peer, None), line);
+        assert!(line.contains("quota"), "{line}");
+        let requests = limited.stats().requests;
+        assert_eq!((requests.rejected, requests.rejected_quota), (2, 2));
+
+        let closed = server(small_config());
+        closed.initiate_shutdown();
+        let line = line_answer(&closed, &Request::Devices);
+        assert_eq!(closed.execute_direct(Request::Devices, peer, None), line);
+        assert_eq!(code(&line), ErrorCode::ShuttingDown);
+        assert_eq!(closed.stats().requests.errors, 2);
     }
 
     #[test]
